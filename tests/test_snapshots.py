@@ -1,0 +1,136 @@
+"""Pinned command-line outputs: stdout, stderr and exit code, byte for byte.
+
+Every report command runs in every format it offers: classify, hallmark,
+cluster and cluster --binary in text/CSV/JSON, and analyze in
+text/CSV/JSON/DOT for both --key values and both --metric values.
+
+- The golden corpus is pinned verbatim: stdout in
+  ``snapshots/golden/<case>.out``, stderr and exit code in
+  ``snapshots/golden.json``.  (``--metric l1`` exits 1 on it, because
+  Pinwheels counts ``many``.)
+- The empty corpus and 40 seeded ``corpusgen.random_corpus`` corpora
+  (hostile names included) are pinned as one SHA-256 digest per case in
+  ``snapshots/digests.json``.
+
+Generated corpora are fed as JSON on stdin, so diagnostics name
+``<stdin>`` and do not depend on a temporary path.  The snapshots record
+the behaviour the program had when they were written; a deliberate
+output change regenerates them with
+
+    PYTHONPATH=src python tests/test_snapshots.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+import io
+import json
+import random
+import sys
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
+
+import pytest
+
+from tangibility import Corpus, export_json
+from tangibility.cli import main
+
+try:
+    from corpusgen import random_corpus
+except ImportError:  # run as a script from the repository root
+    sys.path.insert(0, str(Path(__file__).parent))
+    from corpusgen import random_corpus
+
+SNAPSHOTS = Path(__file__).parent / "snapshots"
+GOLDEN_DIR = SNAPSHOTS / "golden"
+GOLDEN_STATUS = SNAPSHOTS / "golden.json"
+DIGESTS = SNAPSHOTS / "digests.json"
+
+SEEDS = range(40)
+MAX_APPS = 8
+GENERATED = ["empty"] + [f"seed-{seed}" for seed in SEEDS]
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {}
+    for fmt in ("text", "csv", "json"):
+        for command in ("classify", "hallmark", "cluster"):
+            cases[f"{command}-{fmt}"] = [command, "--format", fmt]
+        cases[f"cluster-binary-{fmt}"] = ["cluster", "--binary", "--format", fmt]
+    for fmt in ("text", "csv", "json", "dot"):
+        for key in ("genre", "subgenre"):
+            for metric in ("hamming", "l1"):
+                cases[f"analyze-{fmt}-{key}-{metric}"] = [
+                    "analyze", "--format", fmt, "--key", key, "--metric", metric,
+                ]
+    return cases
+
+
+CASES = _cases()
+
+
+def _generated_corpus(name: str) -> str:
+    if name == "empty":
+        return export_json(Corpus(()))
+    seed = int(name.removeprefix("seed-"))
+    return export_json(random_corpus(random.Random(seed), max_apps=MAX_APPS))
+
+
+def run_cli(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    saved_stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(argv)
+    finally:
+        sys.stdin = saved_stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def _digest(code: int, stdout: str, stderr: str) -> str:
+    framed = json.dumps([code, stdout, stderr], ensure_ascii=False)
+    return hashlib.sha256(framed.encode("utf-8")).hexdigest()
+
+
+def _corpus_digests(corpus_json: str) -> dict[str, str]:
+    return {
+        case: _digest(*run_cli(argv + ["-"], corpus_json)) for case, argv in CASES.items()
+    }
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden(case):
+    status = json.loads(GOLDEN_STATUS.read_text(encoding="utf-8"))[case]
+    code, stdout, stderr = run_cli(CASES[case] + ["--golden"])
+    assert code == status["exit"]
+    assert stderr == status["stderr"]
+    assert stdout.encode("utf-8") == (GOLDEN_DIR / f"{case}.out").read_bytes()
+
+
+@pytest.mark.parametrize("name", GENERATED)
+def test_generated(name):
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    actual = _corpus_digests(_generated_corpus(name))
+    changed = sorted(case for case in CASES if actual[case] != pinned.get(case))
+    assert not changed, f"{name}: outputs differ for {changed}"
+    assert set(pinned) == set(CASES)
+
+
+def _write_snapshots() -> None:
+    GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+    status = {}
+    for case, argv in CASES.items():
+        code, stdout, stderr = run_cli(argv + ["--golden"])
+        (GOLDEN_DIR / f"{case}.out").write_bytes(stdout.encode("utf-8"))
+        status[case] = {"exit": code, "stderr": stderr}
+    digests = {name: _corpus_digests(_generated_corpus(name)) for name in GENERATED}
+    for path, payload in ((GOLDEN_STATUS, status), (DIGESTS, digests)):
+        path.write_text(
+            json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+
+
+if __name__ == "__main__":
+    _write_snapshots()
