@@ -3,14 +3,8 @@ classes for tangible-interface specimens, with corpus analytics, a text
 annotation format, and JSON interchange."""
 
 from .analysis import (
-    Cluster,
-    CrossTab,
-    CrossTabApp,
-    CrossTabRow,
-    DistanceMatrix,
     EmptyCorpusError,
     Metric,
-    RoleShare,
     class_distribution,
     cluster_by_binary_hallmark,
     cluster_by_hallmark,
@@ -21,15 +15,7 @@ from .analysis import (
     role_distribution,
     term_coverage,
 )
-from .classify import (
-    Cell,
-    ClassResult,
-    PatternRule,
-    TangibilityClass,
-    classify,
-    classify_by_patterns,
-    pattern_table,
-)
+from .classify import TangibilityClass, classify, classify_by_patterns, pattern_table
 from .dsl import export_json, import_json, parse_corpus, serialize_corpus
 from .golden import load_golden
 from .hallmark import (
@@ -45,44 +31,30 @@ from .model import (
     Application,
     Corpus,
     Count,
-    Diagnostic,
     Entity,
     Role,
     Severity,
-    SourceSpan,
     Tangibility,
     validate,
 )
-from .terms import Term, UnknownTermError, all_terms, parse_term, term_of
+from .terms import UnknownTermError, all_terms, parse_term, term_of
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Application",
     "BinaryHallmark",
-    "Cell",
-    "ClassResult",
-    "Cluster",
     "Corpus",
     "Count",
-    "CrossTab",
-    "CrossTabApp",
-    "CrossTabRow",
-    "Diagnostic",
-    "DistanceMatrix",
     "EmptyCorpusError",
     "Entity",
     "Hallmark",
     "Metric",
-    "PatternRule",
     "Role",
-    "RoleShare",
     "Severity",
-    "SourceSpan",
     "SymbolicCountError",
     "Tangibility",
     "TangibilityClass",
-    "Term",
     "UnknownTermError",
     "all_terms",
     "binarize",

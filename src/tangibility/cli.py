@@ -152,40 +152,27 @@ def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> 
     return EXIT_OK if corpus is not None else EXIT_CORPUS_ERROR
 
 
-def _cmd_classify(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    corpus, _ = _load_corpus(args, parser)
-    if corpus is None:
-        return EXIT_CORPUS_ERROR
-    sys.stdout.write(render(class_table(corpus), args.format))
-    return EXIT_OK
+# Looked up by name at call time, so wrappers installed on this module apply.
+_REPORT_BUILDERS = {
+    "classify": lambda corpus, args: class_table(corpus),
+    "hallmark": lambda corpus, args: hallmark_table(corpus),
+    "cluster": lambda corpus, args: clusters_report(corpus, binary=args.binary),
+    "analyze": lambda corpus, args: analytics_report(
+        corpus, key=args.key, metric=Metric(args.metric)
+    ),
+}
 
 
-def _cmd_hallmark(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    corpus, _ = _load_corpus(args, parser)
-    if corpus is None:
-        return EXIT_CORPUS_ERROR
-    sys.stdout.write(render(hallmark_table(corpus), args.format))
-    return EXIT_OK
-
-
-def _cmd_analyze(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     corpus, label = _load_corpus(args, parser)
     if corpus is None:
         return EXIT_CORPUS_ERROR
     try:
-        report = analytics_report(corpus, key=args.key, metric=Metric(args.metric))
-    except SymbolicCountError as exc:
+        report = _REPORT_BUILDERS[args.command](corpus, args)
+    except SymbolicCountError as exc:  # analyze --metric l1 on a 'many' count
         print(f"{label}: error: {exc}", file=sys.stderr)
         return EXIT_CORPUS_ERROR
     sys.stdout.write(render(report, args.format))
-    return EXIT_OK
-
-
-def _cmd_cluster(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    corpus, _ = _load_corpus(args, parser)
-    if corpus is None:
-        return EXIT_CORPUS_ERROR
-    sys.stdout.write(render(clusters_report(corpus, binary=args.binary), args.format))
     return EXIT_OK
 
 
@@ -216,10 +203,10 @@ def _cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
 
 _COMMANDS = {
     "validate": _cmd_validate,
-    "classify": _cmd_classify,
-    "hallmark": _cmd_hallmark,
-    "analyze": _cmd_analyze,
-    "cluster": _cmd_cluster,
+    "classify": _cmd_report,
+    "hallmark": _cmd_report,
+    "analyze": _cmd_report,
+    "cluster": _cmd_report,
     "term": _cmd_term,
     "export": _cmd_export,
 }

@@ -450,10 +450,6 @@ def serialize_corpus(corpus: Corpus) -> str:
     return "\n\n".join(blocks) + ("\n" if blocks else "")
 
 
-def _count_to_json(count: Count) -> int | str:
-    return "many" if count.is_many else count.value
-
-
 def export_json(corpus: Corpus) -> str:
     """Render the corpus as one JSON object, compact and deterministic."""
     applications = []
@@ -471,7 +467,7 @@ def export_json(corpus: Corpus) -> str:
                 "name": e.name,
                 "what": e.role.value,
                 "how": e.tangibility.value,
-                "count": _count_to_json(e.count),
+                "count": e.count.to_json(),
                 **({"note": e.note} if e.note is not None else {}),
             }
             for e in app.entities

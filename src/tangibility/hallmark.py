@@ -69,6 +69,10 @@ class Hallmark:
     def has_many(self) -> bool:
         return any(c.is_many for c in self.components)
 
+    def to_json(self) -> list[int | str]:
+        """Components as JSON and CSV carry them: integers, or "many"."""
+        return [c.to_json() for c in self.components]
+
     def __str__(self) -> str:
         cells = ("N" if c.is_many else str(c.value) for c in self.components)
         return "(" + ", ".join(cells) + ")"
@@ -87,6 +91,9 @@ class BinaryHallmark:
             )
         if any(bit not in (0, 1) for bit in self.bits):
             raise ValueError("binary hallmark bits must be 0 or 1")
+
+    def to_json(self) -> list[int]:
+        return list(self.bits)
 
     def __str__(self) -> str:
         return "(" + ", ".join(str(bit) for bit in self.bits) + ")"

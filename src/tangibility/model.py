@@ -67,6 +67,10 @@ class Count:
     def exact(cls, n: int) -> "Count":
         return cls(n)
 
+    def to_json(self) -> int | str:
+        """The value as JSON and CSV carry it: the integer, or "many"."""
+        return "many" if self.value is None else self.value
+
     @property
     def is_many(self) -> bool:
         return self.value is None

@@ -1,10 +1,9 @@
-"""Rendering of analytics and classification results.
+"""Reports of classification and analytics results, and their renderers.
 
-Four surfaces: fixed-width text tables, RFC-4180 CSV, compact JSON, and DOT
-graphs (cross-tabs only).  Every renderer is deterministic: identical input
-yields identical bytes, rows keep id order, and the newline is "\\n" on all
-platforms.  Hallmark components print as "N" in text and as "many" in CSV
-and JSON.
+Each report holds its data and builds one format on request: text lines, CSV
+tables or a JSON payload; DOT graphs exist for cross-tabs only.  Output is
+deterministic (rows in id order, "\\n" newlines); hallmark components print
+as "N" in text and as "many" in CSV and JSON.
 """
 
 from __future__ import annotations
@@ -13,7 +12,8 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from typing import Any, Union
+from itertools import chain
+from typing import Any, Iterable
 
 from .analysis import (
     CLASS_LABELS,
@@ -34,8 +34,8 @@ from .analysis import (
     EmptyCorpusError,
 )
 from .classify import ClassResult, classify
-from .hallmark import BinaryHallmark, Hallmark, compute_hallmark
-from .model import Corpus, Count, Role
+from .hallmark import Hallmark, compute_hallmark
+from .model import Corpus, Role
 from .terms import TERMS, Term
 
 __all__ = [
@@ -57,6 +57,36 @@ __all__ = [
     "render_dot",
 ]
 
+Table = Iterable[list[Any]]
+
+_TERM_NAMES = [term.name for term in TERMS]
+
+
+def _table_lines(
+    headers: tuple[str, ...], rows: list[tuple[str, ...]], aligns: str
+) -> list[str]:
+    """Fixed-width columns, aligned "l"(eft) or "r"(ight) per column."""
+    widths = [len(h) for h in headers]
+    for row in rows:
+        for i, cell in enumerate(row):
+            widths[i] = max(widths[i], len(cell))
+    lines = []
+    for row in [headers] + rows:
+        cells = [
+            cell.rjust(widths[i]) if aligns[i] == "r" else cell.ljust(widths[i])
+            for i, cell in enumerate(row)
+        ]
+        lines.append("  ".join(cells).rstrip())
+    return lines
+
+
+def _indent(lines: list[str]) -> list[str]:
+    return ["  " + line for line in lines]
+
+
+def _ids(ids: Iterable[int], sep: str) -> str:
+    return sep.join(str(i) for i in ids)
+
 
 @dataclass(frozen=True)
 class AppRow:
@@ -70,15 +100,74 @@ class AppRow:
 class HallmarkTable:
     rows: tuple[AppRow, ...]
 
+    def text_lines(self) -> list[str]:
+        rows = [(str(r.id), r.name, str(r.hallmark), r.result.label) for r in self.rows]
+        return _table_lines(("id", "name", "hallmark", "class"), rows, "rlll")
+
+    def csv_tables(self) -> list[Table]:
+        rows = [[r.id, r.name] + r.hallmark.to_json() for r in self.rows]
+        return [[["id", "name"] + _TERM_NAMES] + rows]
+
+    def payload(self) -> dict[str, Any]:
+        return {
+            "applications": [
+                {
+                    "id": r.id,
+                    "name": r.name,
+                    "hallmark": r.hallmark.to_json(),
+                    "class": r.result.label,
+                }
+                for r in self.rows
+            ]
+        }
+
 
 @dataclass(frozen=True)
 class ClassTable:
     rows: tuple[AppRow, ...]
 
+    def text_lines(self) -> list[str]:
+        rows = [
+            (str(r.id), r.name, r.result.label, r.result.reason or "")
+            for r in self.rows
+        ]
+        return _table_lines(("id", "name", "class", "reason"), rows, "rlll")
+
+    def csv_tables(self) -> list[Table]:
+        rows = [
+            [r.id, r.name] + r.hallmark.to_json() + [r.result.label]
+            for r in self.rows
+        ]
+        return [[["id", "name"] + _TERM_NAMES + ["class"]] + rows]
+
+    def payload(self) -> dict[str, Any]:
+        return {
+            "applications": [
+                {
+                    "id": r.id,
+                    "name": r.name,
+                    "class": r.result.label,
+                    "rule": r.result.rule,
+                    "reason": r.result.reason,
+                }
+                for r in self.rows
+            ]
+        }
+
 
 @dataclass(frozen=True)
 class Coverage:
     entries: tuple[tuple[Term, int], ...]
+
+    def text_lines(self) -> list[str]:
+        rows = [(term.name, str(count)) for term, count in self.entries]
+        return _table_lines(("term", "count"), rows, "lr")
+
+    def csv_tables(self) -> list[Table]:
+        return [[["term", "count"]] + [[term.name, n] for term, n in self.entries]]
+
+    def payload(self) -> dict[str, int]:
+        return {term.name: count for term, count in self.entries}
 
 
 @dataclass(frozen=True)
@@ -86,6 +175,24 @@ class Clusters:
     binary: bool
     distinct: int
     clusters: tuple[Cluster, ...]
+
+    def text_lines(self, heading: str = "clusters:") -> list[str]:
+        kind = "binary hallmarks" if self.binary else "hallmarks"
+        lines = [f"distinct {kind}: {self.distinct}", heading]
+        if not self.clusters:
+            return lines + ["  none"]
+        return lines + [f"  {c.key}: {_ids(c.members, ', ')}" for c in self.clusters]
+
+    def csv_tables(self) -> list[Table]:
+        rows = [[str(c.key), _ids(c.members, " ")] for c in self.clusters]
+        key_column = "binary_hallmark" if self.binary else "hallmark"
+        return [[[key_column, "members"]] + rows]
+
+    def payload(self) -> dict[str, Any]:
+        clusters = [
+            {"hallmark": c.key.to_json(), "members": c.members} for c in self.clusters
+        ]
+        return {"binary": self.binary, "distinct": self.distinct, "clusters": clusters}
 
 
 @dataclass(frozen=True)
@@ -95,20 +202,121 @@ class Analytics:
     coverage: Coverage
     roles: dict[Role, RoleShare] | None
     classes: dict[str, int]
-    distinct: int
-    clusters: tuple[Cluster, ...]
-    distinct_binary: int
-    binary_clusters: tuple[Cluster, ...]
+    clusters: Clusters
+    binary_clusters: Clusters
     crosstab: CrossTab
     matrix: DistanceMatrix
 
+    def text_lines(self) -> list[str]:
+        # Distribution tables are sized with their headers but printed without.
+        roles = ["(no entity records)"]
+        if self.roles is not None:
+            rows = [
+                (role.value, str(share.count), f"{share.percent}%")
+                for role, share in self.roles.items()
+            ]
+            roles = _table_lines(("role", "count", "percent"), rows, "lrr")[1:]
+        classes = [(label, str(count)) for label, count in self.classes.items()]
+        tab = self.crosstab
+        tab_rows = [
+            (row.label, *(_ids(ids, " ") or "-" for ids in row.cells.values()))
+            for row in tab.rows
+        ]
+        # Formatted here, so the n x n cell strings are freed before indenting.
+        ids = tuple(map(str, self.matrix.ids))
+        matrix = _table_lines(
+            ("id",) + ids,
+            [(i, *map(str, row)) for i, row in zip(ids, self.matrix.rows)],
+            "r" * (len(ids) + 1),
+        )
+        return [
+            f"applications: {self.application_count}",
+            f"entity records: {self.record_count}",
+            "",
+            "term coverage:",
+            *_indent(self.coverage.text_lines()[1:]),
+            "",
+            "role distribution:",
+            *_indent(roles),
+            "",
+            "class distribution:",
+            *_indent(_table_lines(("class", "count"), classes, "lr")[1:]),
+            "",
+            *self.clusters.text_lines("hallmark clusters:"),
+            "",
+            *self.binary_clusters.text_lines("binary hallmark clusters:"),
+            "",
+            f"cross-tab by {tab.key}:",
+            *_indent(_table_lines((tab.key,) + CLASS_LABELS, tab_rows, "l" * 6)),
+            "",
+            f"distance matrix ({self.matrix.metric.value}):",
+            *_indent(matrix),
+        ]
+
+    def csv_tables(self) -> list[Table]:
+        statistics = [
+            ["statistic", "value"],
+            ["applications", self.application_count],
+            ["entity_records", self.record_count],
+            ["distinct_hallmarks", self.clusters.distinct],
+            ["distinct_binary_hallmarks", self.binary_clusters.distinct],
+        ]
+        roles: list[list[Any]] = [["role", "count", "percent"]]
+        if self.roles is not None:
+            roles += [[r.value, s.count, s.percent] for r, s in self.roles.items()]
+        classes = [["class", "count"]] + [[k, n] for k, n in self.classes.items()]
+        tab, matrix = self.crosstab, self.matrix
+        crosstab = [[tab.key, *CLASS_LABELS]] + [
+            [row.label] + [_ids(ids, " ") for ids in row.cells.values()]
+            for row in tab.rows
+        ]
+        # Matrix rows are generated while writing, not held as a second copy.
+        matrix_rows = ([i, *row] for i, row in zip(matrix.ids, matrix.rows))
+        return [
+            statistics,
+            *self.coverage.csv_tables(),
+            roles,
+            classes,
+            *self.clusters.csv_tables(),
+            *self.binary_clusters.csv_tables(),
+            crosstab,
+            chain([["id"] + [str(i) for i in matrix.ids]], matrix_rows),
+        ]
+
+    def payload(self) -> dict[str, Any]:
+        tab, matrix = self.crosstab, self.matrix
+        return {
+            "applications": self.application_count,
+            "entity_records": self.record_count,
+            "coverage": self.coverage.payload(),
+            "roles": None
+            if self.roles is None
+            else {
+                role.value: {"count": share.count, "percent": share.percent}
+                for role, share in self.roles.items()
+            },
+            "classes": self.classes,
+            "distinct_hallmarks": self.clusters.distinct,
+            "hallmark_clusters": self.clusters.payload()["clusters"],
+            "distinct_binary_hallmarks": self.binary_clusters.distinct,
+            "binary_hallmark_clusters": self.binary_clusters.payload()["clusters"],
+            "cross_tab": {
+                "key": tab.key,
+                "rows": [{"label": row.label, **row.cells} for row in tab.rows],
+            },
+            # Tuples serialize as JSON arrays, so the matrix is not copied to lists.
+            "distance_matrix": {
+                "metric": matrix.metric.value,
+                "ids": matrix.ids,
+                "rows": matrix.rows,
+            },
+        }
+
 
 def _app_rows(corpus: Corpus) -> tuple[AppRow, ...]:
-    rows = []
-    for app in sorted(corpus.applications, key=lambda a: a.id):
-        mark = compute_hallmark(app)
-        rows.append(AppRow(app.id, app.name, mark, classify(mark)))
-    return tuple(rows)
+    apps = sorted(corpus.applications, key=lambda a: a.id)
+    marks = [compute_hallmark(app) for app in apps]
+    return tuple(AppRow(a.id, a.name, m, classify(m)) for a, m in zip(apps, marks))
 
 
 def hallmark_table(corpus: Corpus) -> HallmarkTable:
@@ -120,19 +328,15 @@ def class_table(corpus: Corpus) -> ClassTable:
 
 
 def coverage_report(corpus: Corpus) -> Coverage:
-    coverage = term_coverage(corpus)
-    return Coverage(tuple((term, coverage[term]) for term in TERMS))
+    return Coverage(tuple(term_coverage(corpus).items()))
 
 
 def clusters_report(corpus: Corpus, binary: bool = False) -> Clusters:
     if binary:
-        return Clusters(
-            True, distinct_binary_hallmark_count(corpus),
-            tuple(cluster_by_binary_hallmark(corpus)),
-        )
-    return Clusters(
-        False, distinct_hallmark_count(corpus), tuple(cluster_by_hallmark(corpus))
-    )
+        distinct, clusters = distinct_binary_hallmark_count, cluster_by_binary_hallmark
+    else:
+        distinct, clusters = distinct_hallmark_count, cluster_by_hallmark
+    return Clusters(binary, distinct(corpus), tuple(clusters(corpus)))
 
 
 def analytics_report(
@@ -148,361 +352,49 @@ def analytics_report(
         coverage=coverage_report(corpus),
         roles=roles,
         classes=class_distribution(corpus),
-        distinct=distinct_hallmark_count(corpus),
-        clusters=tuple(cluster_by_hallmark(corpus)),
-        distinct_binary=distinct_binary_hallmark_count(corpus),
-        binary_clusters=tuple(cluster_by_binary_hallmark(corpus)),
+        clusters=clusters_report(corpus),
+        binary_clusters=clusters_report(corpus, binary=True),
         crosstab=cross_tab(corpus, key),
         matrix=distance_matrix(corpus, metric),
     )
 
 
-# --- text -------------------------------------------------------------
+# --- formats ----------------------------------------------------------
 
-_LEFT = "left"
-_RIGHT = "right"
-
-
-def _table_lines(
-    headers: tuple[str, ...], rows: list[tuple[str, ...]], aligns: tuple[str, ...]
-) -> list[str]:
-    widths = [len(h) for h in headers]
-    for row in rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = []
-    for row in [headers] + rows:
-        cells = [
-            cell.rjust(widths[i]) if aligns[i] == _RIGHT else cell.ljust(widths[i])
-            for i, cell in enumerate(row)
-        ]
-        lines.append("  ".join(cells).rstrip())
-    return lines
+_REPORTS = (HallmarkTable, ClassTable, Coverage, Clusters, Analytics)
 
 
-def _count_text(count: Count) -> str:
-    return "N" if count.is_many else str(count.value)
-
-
-def _count_data(count: Count) -> int | str:
-    return "many" if count.is_many else count.value
-
-
-def _cluster_lines(clusters: tuple[Cluster, ...], indent: str = "  ") -> list[str]:
-    if not clusters:
-        return [f"{indent}none"]
-    return [
-        f"{indent}{cluster.key}: " + ", ".join(str(m) for m in cluster.members)
-        for cluster in clusters
-    ]
-
-
-def _crosstab_text_lines(tab: CrossTab) -> list[str]:
-    headers = (tab.key,) + CLASS_LABELS
-    rows = [
-        tuple(
-            [row.label]
-            + [" ".join(str(i) for i in row.cells[label]) or "-" for label in CLASS_LABELS]
-        )
-        for row in tab.rows
-    ]
-    return _table_lines(headers, rows, (_LEFT,) * len(headers))
-
-
-def _matrix_text_lines(matrix: DistanceMatrix) -> list[str]:
-    headers = ("id",) + tuple(str(i) for i in matrix.ids)
-    rows = [
-        (str(app_id),) + tuple(str(d) for d in row)
-        for app_id, row in zip(matrix.ids, matrix.rows)
-    ]
-    return _table_lines(headers, rows, (_RIGHT,) * len(headers))
+def _checked(report: Any, fmt: str) -> Any:
+    if not isinstance(report, _REPORTS):
+        raise TypeError(f"cannot render {type(report).__name__} as {fmt}")
+    return report
 
 
 def render_text(report: Any) -> str:
-    if isinstance(report, HallmarkTable):
-        rows = [
-            (str(r.id), r.name, str(r.hallmark), r.result.label) for r in report.rows
-        ]
-        lines = _table_lines(
-            ("id", "name", "hallmark", "class"), rows, (_RIGHT, _LEFT, _LEFT, _LEFT)
-        )
-    elif isinstance(report, ClassTable):
-        rows = [
-            (str(r.id), r.name, r.result.label, r.result.reason or "")
-            for r in report.rows
-        ]
-        lines = _table_lines(
-            ("id", "name", "class", "reason"), rows, (_RIGHT, _LEFT, _LEFT, _LEFT)
-        )
-    elif isinstance(report, Coverage):
-        rows = [(term.name, str(count)) for term, count in report.entries]
-        lines = _table_lines(("term", "count"), rows, (_LEFT, _RIGHT))
-    elif isinstance(report, Clusters):
-        kind = "binary hallmarks" if report.binary else "hallmarks"
-        lines = [f"distinct {kind}: {report.distinct}", "clusters:"]
-        lines += _cluster_lines(report.clusters)
-    elif isinstance(report, CrossTab):
-        lines = _crosstab_text_lines(report)
-    elif isinstance(report, DistanceMatrix):
-        lines = _matrix_text_lines(report)
-    elif isinstance(report, Analytics):
-        lines = _analytics_text_lines(report)
-    else:
-        raise TypeError(f"cannot render {type(report).__name__} as text")
-    return "\n".join(lines) + "\n"
+    return "\n".join(_checked(report, "text").text_lines()) + "\n"
 
 
-def _analytics_text_lines(report: Analytics) -> list[str]:
-    lines = [
-        f"applications: {report.application_count}",
-        f"entity records: {report.record_count}",
-        "",
-        "term coverage:",
-    ]
-    coverage_rows = [(t.name, str(c)) for t, c in report.coverage.entries]
-    lines += [
-        "  " + line
-        for line in _table_lines(("term", "count"), coverage_rows, (_LEFT, _RIGHT))[1:]
-    ]
-    lines += ["", "role distribution:"]
-    if report.roles is None:
-        lines.append("  (no entity records)")
-    else:
-        role_rows = [
-            (role.value, str(share.count), f"{share.percent}%")
-            for role, share in report.roles.items()
-        ]
-        lines += [
-            "  " + line
-            for line in _table_lines(
-                ("role", "count", "percent"), role_rows, (_LEFT, _RIGHT, _RIGHT)
-            )[1:]
-        ]
-    lines += ["", "class distribution:"]
-    class_rows = [(label, str(count)) for label, count in report.classes.items()]
-    lines += [
-        "  " + line
-        for line in _table_lines(("class", "count"), class_rows, (_LEFT, _RIGHT))[1:]
-    ]
-    lines += ["", f"distinct hallmarks: {report.distinct}", "hallmark clusters:"]
-    lines += _cluster_lines(report.clusters)
-    lines += [
-        "",
-        f"distinct binary hallmarks: {report.distinct_binary}",
-        "binary hallmark clusters:",
-    ]
-    lines += _cluster_lines(report.binary_clusters)
-    lines += ["", f"cross-tab by {report.crosstab.key}:"]
-    lines += ["  " + line for line in _crosstab_text_lines(report.crosstab)]
-    lines += ["", f"distance matrix ({report.matrix.metric.value}):"]
-    lines += ["  " + line for line in _matrix_text_lines(report.matrix)]
-    return lines
-
-
-# --- CSV --------------------------------------------------------------
-
-
-def _csv_rows(rows: list[list[Any]]) -> str:
+def _csv(table: Table) -> str:
     buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerows(rows)
+    csv.writer(buffer, lineterminator="\n").writerows(table)
     return buffer.getvalue()
 
 
-def _hallmark_cells(mark: Hallmark) -> list[int | str]:
-    return [_count_data(c) for c in mark.components]
-
-
 def render_csv(report: Any) -> str:
-    term_names = [term.name for term in TERMS]
-    if isinstance(report, HallmarkTable):
-        rows: list[list[Any]] = [["id", "name"] + term_names]
-        rows += [[r.id, r.name] + _hallmark_cells(r.hallmark) for r in report.rows]
-    elif isinstance(report, ClassTable):
-        rows = [["id", "name"] + term_names + ["class"]]
-        rows += [
-            [r.id, r.name] + _hallmark_cells(r.hallmark) + [r.result.label]
-            for r in report.rows
-        ]
-    elif isinstance(report, Coverage):
-        rows = [["term", "count"]]
-        rows += [[term.name, count] for term, count in report.entries]
-    elif isinstance(report, Clusters):
-        key_column = "binary_hallmark" if report.binary else "hallmark"
-        rows = [[key_column, "members"]]
-        rows += [
-            [str(cluster.key), " ".join(str(m) for m in cluster.members)]
-            for cluster in report.clusters
-        ]
-    elif isinstance(report, CrossTab):
-        rows = [[report.key] + list(CLASS_LABELS)]
-        rows += [
-            [row.label]
-            + [" ".join(str(i) for i in row.cells[label]) for label in CLASS_LABELS]
-            for row in report.rows
-        ]
-    elif isinstance(report, DistanceMatrix):
-        rows = [["id"] + [str(i) for i in report.ids]]
-        rows += [
-            [app_id] + list(row) for app_id, row in zip(report.ids, report.rows)
-        ]
-    elif isinstance(report, Analytics):
-        return _analytics_csv(report)
-    else:
-        raise TypeError(f"cannot render {type(report).__name__} as CSV")
-    return _csv_rows(rows)
-
-
-def _analytics_csv(report: Analytics) -> str:
-    sections = [
-        _csv_rows(
-            [
-                ["statistic", "value"],
-                ["applications", report.application_count],
-                ["entity_records", report.record_count],
-                ["distinct_hallmarks", report.distinct],
-                ["distinct_binary_hallmarks", report.distinct_binary],
-            ]
-        ),
-        render_csv(report.coverage),
-    ]
-    role_rows: list[list[Any]] = [["role", "count", "percent"]]
-    if report.roles is not None:
-        role_rows += [
-            [role.value, share.count, share.percent]
-            for role, share in report.roles.items()
-        ]
-    sections.append(_csv_rows(role_rows))
-    class_rows: list[list[Any]] = [["class", "count"]]
-    class_rows += [[label, count] for label, count in report.classes.items()]
-    sections.append(_csv_rows(class_rows))
-    sections.append(render_csv(Clusters(False, report.distinct, report.clusters)))
-    sections.append(
-        render_csv(Clusters(True, report.distinct_binary, report.binary_clusters))
-    )
-    sections.append(render_csv(report.crosstab))
-    sections.append(render_csv(report.matrix))
-    return "\n".join(sections)
-
-
-# --- JSON -------------------------------------------------------------
-
-
-def _json_dump(payload: Any) -> str:
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False) + "\n"
-
-
-def _clusters_payload(clusters: tuple[Cluster, ...]) -> list[dict[str, Any]]:
-    payload = []
-    for cluster in clusters:
-        if isinstance(cluster.key, BinaryHallmark):
-            key: list[int | str] = list(cluster.key.bits)
-        else:
-            key = _hallmark_cells(cluster.key)
-        payload.append({"hallmark": key, "members": list(cluster.members)})
-    return payload
-
-
-def _crosstab_payload(tab: CrossTab) -> dict[str, Any]:
-    return {
-        "key": tab.key,
-        "rows": [
-            {"label": row.label, **{c: list(row.cells[c]) for c in CLASS_LABELS}}
-            for row in tab.rows
-        ],
-    }
-
-
-def _matrix_payload(matrix: DistanceMatrix) -> dict[str, Any]:
-    return {
-        "metric": matrix.metric.value,
-        "ids": list(matrix.ids),
-        "rows": [list(row) for row in matrix.rows],
-    }
+    return "\n".join(_csv(table) for table in _checked(report, "CSV").csv_tables())
 
 
 def render_json(report: Any) -> str:
-    if isinstance(report, HallmarkTable):
-        return _json_dump(
-            {
-                "applications": [
-                    {
-                        "id": r.id,
-                        "name": r.name,
-                        "hallmark": _hallmark_cells(r.hallmark),
-                        "class": r.result.label,
-                    }
-                    for r in report.rows
-                ]
-            }
-        )
-    if isinstance(report, ClassTable):
-        return _json_dump(
-            {
-                "applications": [
-                    {
-                        "id": r.id,
-                        "name": r.name,
-                        "class": r.result.label,
-                        "rule": r.result.rule,
-                        "reason": r.result.reason,
-                    }
-                    for r in report.rows
-                ]
-            }
-        )
-    if isinstance(report, Coverage):
-        return _json_dump({term.name: count for term, count in report.entries})
-    if isinstance(report, Clusters):
-        return _json_dump(
-            {
-                "binary": report.binary,
-                "distinct": report.distinct,
-                "clusters": _clusters_payload(report.clusters),
-            }
-        )
-    if isinstance(report, CrossTab):
-        return _json_dump(_crosstab_payload(report))
-    if isinstance(report, DistanceMatrix):
-        return _json_dump(_matrix_payload(report))
-    if isinstance(report, Analytics):
-        return _json_dump(
-            {
-                "applications": report.application_count,
-                "entity_records": report.record_count,
-                "coverage": {t.name: c for t, c in report.coverage.entries},
-                "roles": None
-                if report.roles is None
-                else {
-                    role.value: {"count": share.count, "percent": share.percent}
-                    for role, share in report.roles.items()
-                },
-                "classes": dict(report.classes),
-                "distinct_hallmarks": report.distinct,
-                "hallmark_clusters": _clusters_payload(report.clusters),
-                "distinct_binary_hallmarks": report.distinct_binary,
-                "binary_hallmark_clusters": _clusters_payload(report.binary_clusters),
-                "cross_tab": _crosstab_payload(report.crosstab),
-                "distance_matrix": _matrix_payload(report.matrix),
-            }
-        )
-    raise TypeError(f"cannot render {type(report).__name__} as JSON")
-
-
-# --- DOT --------------------------------------------------------------
+    payload = _checked(report, "JSON").payload()
+    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False) + "\n"
 
 
 def _dot_quote(label: str) -> str:
     return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-_CLASS_NODE = {
-    "I": "Class I",
-    "II": "Class II",
-    "III": "Class III",
-    "IV": "Class IV",
-    "unclassified": "Unclassified",
-}
+def _class_node(label: str) -> str:
+    return _dot_quote("Unclassified" if label == "unclassified" else f"Class {label}")
 
 
 def render_dot(report: Any) -> str:
@@ -521,27 +413,23 @@ def render_dot(report: Any) -> str:
     genres = sorted({app.genre for app in report.apps})
     subgenres = sorted({app.subgenre for app in report.apps})
     apps = sorted(report.apps, key=lambda a: a.id)
-    occupied = [
-        label for label in CLASS_LABELS if any(a.class_label == label for a in apps)
-    ]
-    genre_pairs = sorted({(a.genre, a.subgenre) for a in apps})
+    present = {a.class_label for a in apps}
+    occupied = [label for label in CLASS_LABELS if label in present]
 
     lines = ["digraph corpus {", "  rankdir=LR;"]
     for group in (
         [_dot_quote(g) for g in genres],
         [_dot_quote(s) for s in subgenres],
         [_dot_quote(a.name) for a in apps],
-        [_dot_quote(_CLASS_NODE[label]) for label in occupied],
+        [_class_node(label) for label in occupied],
     ):
         lines.append("  { rank=same; " + "; ".join(group) + "; }")
-    for genre, subgenre in genre_pairs:
+    for genre, subgenre in sorted({(a.genre, a.subgenre) for a in apps}):
         lines.append(f"  {_dot_quote(genre)} -> {_dot_quote(subgenre)};")
     for app in apps:
         lines.append(f"  {_dot_quote(app.subgenre)} -> {_dot_quote(app.name)};")
     for app in apps:
-        lines.append(
-            f"  {_dot_quote(app.name)} -> {_dot_quote(_CLASS_NODE[app.class_label])};"
-        )
+        lines.append(f"  {_dot_quote(app.name)} -> {_class_node(app.class_label)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -556,7 +444,6 @@ _RENDERERS = {
 
 def render(report: Any, fmt: str) -> str:
     """Render a report in the named format; unknown formats raise ValueError."""
-    renderer = _RENDERERS.get(fmt)
-    if renderer is None:
+    if fmt not in _RENDERERS:
         raise ValueError(f"unknown format {fmt!r}")
-    return renderer(report)
+    return _RENDERERS[fmt](report)
