@@ -1,8 +1,9 @@
 """Command-line interface.
 
 One corpus in, one report out.  Input is a file path, "-" for stdin, or
---golden for the bundled reference corpus; text starting with "{" is read
-as the JSON interchange form, anything else as the annotation format.
+--golden for the bundled reference corpus.  One leading byte order mark
+is dropped; then text starting with "{" is read as the JSON interchange
+form, anything else as the annotation format.
 
 Exit codes: 0 success, 1 corpus errors (diagnostics go to stderr as
 "file:line:col: severity: message"), 2 usage errors.
@@ -139,6 +140,7 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
             print(f"{label}: error: {exc.strerror or exc}", file=sys.stderr)
             return None, label
 
+    text = text.removeprefix("\ufeff")  # a byte order mark is not content
     reader = import_json if text.lstrip().startswith("{") else parse_corpus
     corpus, diagnostics = reader(text)
     _print_diagnostics(diagnostics, label, sys.stderr)

@@ -16,11 +16,17 @@ The text format is line-oriented and brace-delimited:
       }
     }
 
-Strings are double-quoted; the only escapes are \\" and \\\\.  `what` and
-`how` are mandatory per entity; `count` defaults to 1.  Unknown keys draw
-warnings and are skipped, so the format can grow without breaking old
-readers.  Any error leaves nothing half-loaded: `parse_corpus` then returns
-an empty corpus alongside the diagnostics.
+Strings are double-quoted and hold no line break (neither \\n nor \\r); the
+only escapes are \\" and \\\\.  `what` and `how` are mandatory per entity;
+`count` defaults to 1.  Unknown keys draw warnings and are skipped, so the
+format can grow without breaking old readers; their value is a scalar or a
+list of scalars.  Any error leaves nothing half-loaded: `parse_corpus` then
+returns an empty corpus alongside the diagnostics.
+
+Both readers report in input order: each invariant of `model` is checked
+where its value is read, except that the entity-less warning, and in text
+the application name (which comes before the id), wait for the application
+to close.
 
 `serialize_corpus` writes the canonical form shown above: two-space
 indentation, fields in the order id, year, genre, subgenre, refs, entities,
@@ -33,8 +39,8 @@ from __future__ import annotations
 
 import enum
 import json
-from dataclasses import dataclass
-from typing import Any
+import re
+from typing import Any, NamedTuple
 
 from .model import (
     Application,
@@ -42,9 +48,11 @@ from .model import (
     Count,
     Diagnostic,
     Entity,
+    InvariantChecker,
     Role,
     SourceSpan,
     Tangibility,
+    is_integer,
 )
 
 __all__ = ["parse_corpus", "serialize_corpus", "export_json", "import_json"]
@@ -66,12 +74,17 @@ class _TokenKind(enum.Enum):
     EOF = "end of input"
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: _TokenKind
     text: str
     value: Any
-    span: SourceSpan
+    line: int
+    column: int
+
+    @property
+    def span(self) -> SourceSpan:
+        # Built on demand: only diagnostics need one, and most tokens get none.
+        return SourceSpan(self.line, self.column)
 
     def describe(self) -> str:
         if self.kind in (_TokenKind.STRING, _TokenKind.INTEGER, _TokenKind.IDENT):
@@ -87,98 +100,73 @@ class _ParseError(Exception):
         self.diagnostic = Diagnostic.error(message, span)
 
 
-_PUNCT = {
-    "{": _TokenKind.LBRACE,
-    "}": _TokenKind.RBRACE,
-    "[": _TokenKind.LBRACKET,
-    "]": _TokenKind.RBRACKET,
-    ":": _TokenKind.COLON,
-    ",": _TokenKind.COMMA,
-}
+_KINDS = _TokenKind.__members__
+_SCALARS = (_TokenKind.STRING, _TokenKind.INTEGER, _TokenKind.IDENT)
+
+# A string up to its closing quote.  A line break, "\r" included, ends it early.
+_OPEN_STRING = r' " (?: [^"\\\n\r] | \\["\\] )* '
+# One group per token kind, named after it, plus whitespace and comments to
+# skip and a catch-all error.  An identifier is \w+ (isalnum() or "_") whose
+# first character _lex checks: isalpha() or "_".
+_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE> \n )
+    | (?P<SKIP> [ \t\r]+ | \#[^\n]* )
+    | (?P<STRING> """ + _OPEN_STRING + r""" " )
+    | (?P<INTEGER> [0-9]+ )
+    | (?P<IDENT> \w+ )
+    | (?P<LBRACE> \{ ) | (?P<RBRACE> \} ) | (?P<LBRACKET> \[ ) | (?P<RBRACKET> \] )
+    | (?P<COLON> : ) | (?P<COMMA> , )
+    | (?P<ERROR> . )
+    """,
+    re.VERBOSE,
+)
+_OPEN_STRING_PREFIX = re.compile(_OPEN_STRING, re.VERBOSE)
+_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i, line, col = 0, 1, 1
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            i += 1
-            line += 1
-            col = 1
+    line, line_start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind, raw = match.lastgroup, match.group()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
             continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
+        if kind == "SKIP":
             continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        span = SourceSpan(line, col)
-        if ch in _PUNCT:
-            tokens.append(_Token(_PUNCT[ch], ch, ch, span))
-            i += 1
-            col += 1
-            continue
-        if ch == '"':
-            j = i + 1
-            pieces: list[str] = []
-            while True:
-                if j >= n or text[j] == "\n":
-                    raise _ParseError("unterminated string", span)
-                c = text[j]
-                if c == '"':
-                    j += 1
-                    break
-                if c == "\\":
-                    if j + 1 >= n or text[j + 1] not in ('"', "\\"):
-                        found = text[j + 1] if j + 1 < n else "end of input"
-                        raise _ParseError(
-                            f"unsupported escape '\\{found}'",
-                            SourceSpan(line, col + (j - i)),
-                        )
-                    pieces.append(text[j + 1])
-                    j += 2
-                    continue
-                pieces.append(c)
-                j += 1
-            raw = text[i:j]
-            tokens.append(_Token(_TokenKind.STRING, raw, "".join(pieces), span))
-            col += j - i
-            i = j
-            continue
-        if "0" <= ch <= "9":
-            j = i
-            while j < n and "0" <= text[j] <= "9":
-                j += 1
-            raw = text[i:j]
-            tokens.append(_Token(_TokenKind.INTEGER, raw, int(raw), span))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            raw = text[i:j]
-            tokens.append(_Token(_TokenKind.IDENT, raw, raw, span))
-            col += j - i
-            i = j
-            continue
-        raise _ParseError(f"unexpected character {ch!r}", span)
-    tokens.append(_Token(_TokenKind.EOF, "", None, SourceSpan(line, col)))
+        column = match.start() - line_start + 1
+        if kind == "ERROR" or kind == "IDENT" and not (raw[0].isalpha() or raw[0] == "_"):
+            raise _lex_error(text, match.start(), SourceSpan(line, column))
+        value: Any = raw
+        if kind == "STRING":
+            value = raw[1:-1]
+            if "\\" in value:
+                value = _ESCAPE.sub(r"\1", value)
+        elif kind == "INTEGER":
+            value = int(raw)
+        tokens.append(_Token(_KINDS[kind], raw, value, line, column))
+    tokens.append(_Token(_TokenKind.EOF, "", None, line, len(text) - line_start + 1))
     return tokens
+
+
+def _lex_error(text: str, start: int, span: SourceSpan) -> _ParseError:
+    """The error for the character at ``start``, which begins no token."""
+    if text[start] != '"':
+        return _ParseError(f"unexpected character {text[start]!r}", span)
+    end = _OPEN_STRING_PREFIX.match(text, start).end()
+    if not text.startswith("\\", end):
+        return _ParseError("unterminated string", span)
+    found = text[end + 1 : end + 2] or "end of input"
+    escape_span = SourceSpan(span.line, span.column + end - start)
+    return _ParseError(f"unsupported escape '\\{found}'", escape_span)
 
 
 class _Parser:
     def __init__(self, tokens: list[_Token]):
         self._tokens = tokens
         self._pos = 0
-        self.diagnostics: list[Diagnostic] = []
-        self._ids: set[int] = set()
-        self._names: set[str] = set()
+        self.check = InvariantChecker()
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -196,12 +184,6 @@ class _Parser:
                 f"expected {kind.value} {context}, found {token.describe()}", token.span
             )
         return self._advance()
-
-    def _error(self, message: str, span: SourceSpan) -> None:
-        self.diagnostics.append(Diagnostic.error(message, span))
-
-    def _warn(self, message: str, span: SourceSpan) -> None:
-        self.diagnostics.append(Diagnostic.warning(message, span))
 
     def parse(self) -> Corpus:
         applications: list[Application] = []
@@ -221,8 +203,6 @@ class _Parser:
         self._advance()  # 'application'
         name_token = self._expect(_TokenKind.STRING, "(application name)")
         name = name_token.value
-        if not name.strip():
-            self._error("application name must be non-empty", name_token.span)
         self._expect(_TokenKind.LBRACE, "to open the application block")
 
         seen_fields: set[str] = set()
@@ -250,16 +230,12 @@ class _Parser:
             self._advance()
             self._expect(_TokenKind.COLON, f"after {key!r}")
             if key in seen_fields:
-                self._warn(f"duplicate key {key!r}", token.span)
+                self.check.warning(f"duplicate key {key!r}", token.span)
             if key in ("id", "year"):
                 value_token = self._expect(_TokenKind.INTEGER, f"as the {key}")
                 if key == "id":
                     app_id = value_token.value
-                    if app_id < 1:
-                        self._error("id must be positive", value_token.span)
-                    elif app_id in self._ids:
-                        self._error(f"duplicate application id {app_id}", value_token.span)
-                    self._ids.add(app_id)
+                    self.check.app_id(f"application {app_id}", app_id, value_token.span)
                 else:
                     year = value_token.value
             elif key in ("genre", "subgenre"):
@@ -269,24 +245,21 @@ class _Parser:
                 else:
                     subgenre = value_token.value
             elif key == "refs":
-                refs = self._parse_refs()
+                refs = self._parse_list((_TokenKind.STRING,), "refs list")
             else:
-                self._warn(f"unknown key {key!r}", token.span)
+                self.check.warning(f"unknown key {key!r}", token.span)
                 self._skip_value()
                 continue
             seen_fields.add(key)
 
         self._expect(_TokenKind.RBRACE, "to close the application block")
 
+        where = f"application {name!r}" if app_id is None else f"application {app_id}"
+        self.check.name(where, name, name_token.span, unique=True)
         if app_id is None:
-            self._error(f"application {name!r} has no id", name_token.span)
+            self.check.error(f"{where} has no id", name_token.span)
             return None
-        folded = name.strip().casefold()
-        if folded and folded in self._names:
-            self._error(f"duplicate application name {name!r}", name_token.span)
-        self._names.add(folded)
-        if entity_blocks == 0:
-            self._warn(f"application {app_id}: no entity records", name_token.span)
+        self.check.entity_records(where, entity_blocks, name_token.span)
         return Application(
             id=app_id,
             name=name,
@@ -297,23 +270,30 @@ class _Parser:
             entities=tuple(entities),
         )
 
-    def _parse_refs(self) -> tuple[str, ...]:
-        self._expect(_TokenKind.LBRACKET, "to open the refs list")
-        refs: list[str] = []
-        if self._peek().kind is _TokenKind.STRING:
-            refs.append(self._advance().value)
-            while self._peek().kind is _TokenKind.COMMA:
-                self._advance()
-                refs.append(self._expect(_TokenKind.STRING, "after ','").value)
-        self._expect(_TokenKind.RBRACKET, "to close the refs list")
-        return tuple(refs)
+    def _parse_list(self, kinds: tuple[_TokenKind, ...], name: str) -> tuple[Any, ...]:
+        """Parse ``[v, v, ...]``, possibly empty, where each value is one token of ``kinds``."""
+        self._expect(_TokenKind.LBRACKET, f"to open the {name}")
+        values: list[Any] = []
+        while self._peek().kind in kinds:
+            values.append(self._advance().value)
+            if self._peek().kind is not _TokenKind.COMMA:
+                break
+            self._advance()
+            token = self._peek()
+            if token.kind not in kinds:
+                expected = " or ".join(kind.value for kind in kinds)
+                raise _ParseError(
+                    f"expected {expected} after ',', found {token.describe()}", token.span
+                )
+        self._expect(_TokenKind.RBRACKET, f"to close the {name}")
+        return tuple(values)
 
     def _parse_entity(self) -> Entity | None:
         self._advance()  # 'entity'
         name_token = self._expect(_TokenKind.STRING, "(entity name)")
         name = name_token.value
-        if not name.strip():
-            self._error("entity name must be non-empty", name_token.span)
+        where = f"entity {name!r}"
+        self.check.name(where, name, name_token.span)
         self._expect(_TokenKind.LBRACE, "to open the entity block")
 
         seen_fields: set[str] = set()
@@ -321,7 +301,6 @@ class _Parser:
         tangibility: Tangibility | None = None
         count = Count(1)
         note: str | None = None
-        broken = False
 
         while self._peek().kind not in (_TokenKind.RBRACE, _TokenKind.EOF):
             token = self._peek()
@@ -333,30 +312,25 @@ class _Parser:
             self._advance()
             self._expect(_TokenKind.COLON, f"after {key!r}")
             if key in seen_fields:
-                self._warn(f"duplicate key {key!r}", token.span)
+                self.check.warning(f"duplicate key {key!r}", token.span)
             if key == "what":
                 value_token = self._expect(_TokenKind.IDENT, "naming a role")
                 role = _ROLES.get(value_token.value)
                 if role is None:
-                    self._error(f"unknown role {value_token.value!r}", value_token.span)
-                    broken = True
+                    self.check.error(f"unknown role {value_token.value!r}", value_token.span)
             elif key == "how":
                 value_token = self._expect(_TokenKind.IDENT, "naming a tangibility")
                 tangibility = _TANGIBILITIES.get(value_token.value)
                 if tangibility is None:
-                    self._error(
+                    self.check.error(
                         f"unknown tangibility {value_token.value!r}", value_token.span
                     )
-                    broken = True
             elif key == "count":
                 value_token = self._peek()
                 if value_token.kind is _TokenKind.INTEGER:
                     self._advance()
-                    if value_token.value < 1:
-                        self._error("count must be positive", value_token.span)
-                        broken = True
-                    else:
-                        count = Count(value_token.value)
+                    self.check.count(where, value_token.value, value_token.span)
+                    count = Count(value_token.value)
                 elif (
                     value_token.kind is _TokenKind.IDENT and value_token.value == "many"
                 ):
@@ -371,7 +345,7 @@ class _Parser:
             elif key == "note":
                 note = self._expect(_TokenKind.STRING, "as the note").value
             else:
-                self._warn(f"unknown key {key!r}", token.span)
+                self.check.warning(f"unknown key {key!r}", token.span)
                 self._skip_value()
                 continue
             seen_fields.add(key)
@@ -379,24 +353,25 @@ class _Parser:
         self._expect(_TokenKind.RBRACE, "to close the entity block")
 
         if role is None and "what" not in seen_fields:
-            self._error(f"entity {name!r} is missing 'what'", name_token.span)
+            self.check.error(f"{where} is missing 'what'", name_token.span)
         if tangibility is None and "how" not in seen_fields:
-            self._error(f"entity {name!r} is missing 'how'", name_token.span)
-        if role is None or tangibility is None or broken:
+            self.check.error(f"{where} is missing 'how'", name_token.span)
+        if role is None or tangibility is None:
             return None
         return Entity(name=name, role=role, tangibility=tangibility, count=count, note=note)
 
     def _skip_value(self) -> None:
         token = self._peek()
         if token.kind is _TokenKind.LBRACKET:
-            self._advance()
-            while self._peek().kind not in (_TokenKind.RBRACKET, _TokenKind.EOF):
-                self._advance()
-            self._expect(_TokenKind.RBRACKET, "to close the list")
-        elif token.kind in (_TokenKind.STRING, _TokenKind.INTEGER, _TokenKind.IDENT):
+            self._parse_list(_SCALARS, "list")
+        elif token.kind in _SCALARS:
             self._advance()
         else:
             raise _ParseError(f"expected a value, found {token.describe()}", token.span)
+
+
+def _all_or_nothing(corpus: Corpus, check: InvariantChecker) -> tuple[Corpus, list[Diagnostic]]:
+    return (Corpus() if check.errors else corpus), check.findings
 
 
 def parse_corpus(text: str) -> tuple[Corpus, list[Diagnostic]]:
@@ -411,9 +386,7 @@ def parse_corpus(text: str) -> tuple[Corpus, list[Diagnostic]]:
         corpus = parser.parse()
     except _ParseError as exc:
         return Corpus(), [exc.diagnostic]
-    if any(d.is_error for d in parser.diagnostics):
-        return Corpus(), parser.diagnostics
-    return corpus, parser.diagnostics
+    return _all_or_nothing(corpus, parser.check)
 
 
 def _quote(value: str) -> str:
@@ -478,26 +451,18 @@ def export_json(corpus: Corpus) -> str:
 
 class _JsonReader:
     def __init__(self) -> None:
-        self.diagnostics: list[Diagnostic] = []
-        self._ids: set[int] = set()
-        self._names: set[str] = set()
-
-    def error(self, message: str) -> None:
-        self.diagnostics.append(Diagnostic.error(message))
-
-    def warn(self, message: str) -> None:
-        self.diagnostics.append(Diagnostic.warning(message))
+        self.check = InvariantChecker()
 
     def read(self, data: Any) -> Corpus:
         if not isinstance(data, dict):
-            self.error("top level must be an object")
+            self.check.error("top level must be an object")
             return Corpus()
         for key in data:
             if key != "applications":
-                self.warn(f"unknown key {key!r} at top level")
+                self.check.warning(f"unknown key {key!r} at top level")
         apps_node = data.get("applications")
         if not isinstance(apps_node, list):
-            self.error("'applications' must be an array")
+            self.check.error("'applications' must be an array")
             return Corpus()
         applications = []
         for index, node in enumerate(apps_node):
@@ -508,146 +473,109 @@ class _JsonReader:
 
     def _read_application(self, node: Any, ctx: str) -> Application | None:
         if not isinstance(node, dict):
-            self.error(f"{ctx}: must be an object")
+            self.check.error(f"{ctx}: must be an object")
             return None
         known = {"id", "name", "year", "genre", "subgenre", "refs", "entities"}
         for key in node:
             if key not in known:
-                self.warn(f"{ctx}: unknown key {key!r}")
-        ok = True
+                self.check.warning(f"{ctx}: unknown key {key!r}")
+        errors = self.check.errors
 
         app_id = node.get("id")
-        if not isinstance(app_id, int) or isinstance(app_id, bool):
-            self.error(f"{ctx}: id must be an integer")
-            ok = False
-        elif app_id < 1:
-            self.error(f"{ctx}: id must be positive")
-            ok = False
-        elif app_id in self._ids:
-            self.error(f"{ctx}: duplicate application id {app_id}")
-            ok = False
-        else:
-            self._ids.add(app_id)
+        if not is_integer(app_id):
+            self.check.error(f"{ctx}: id must be an integer")
+        self.check.app_id(ctx, app_id)
 
         name = node.get("name")
-        if not isinstance(name, str) or not name.strip():
-            self.error(f"{ctx}: name must be a non-empty string")
-            ok = False
-        else:
-            folded = name.strip().casefold()
-            if folded in self._names:
-                self.error(f"{ctx}: duplicate application name {name!r}")
-                ok = False
-            self._names.add(folded)
+        if not isinstance(name, str):
+            self.check.error(f"{ctx}: name must be a string")
+        self.check.name(ctx, name, unique=True)
 
         year = node.get("year")
-        if year is not None and (not isinstance(year, int) or isinstance(year, bool)):
-            self.error(f"{ctx}: year must be an integer")
-            ok = False
+        if year is not None and not is_integer(year):
+            self.check.error(f"{ctx}: year must be an integer")
 
         genre = node.get("genre")
         if genre is not None and not isinstance(genre, str):
-            self.error(f"{ctx}: genre must be a string")
-            ok = False
+            self.check.error(f"{ctx}: genre must be a string")
         subgenre = node.get("subgenre")
         if subgenre is not None and not isinstance(subgenre, str):
-            self.error(f"{ctx}: subgenre must be a string")
-            ok = False
+            self.check.error(f"{ctx}: subgenre must be a string")
 
-        refs_node = node.get("refs", [])
-        refs: tuple[str, ...] = ()
-        if not isinstance(refs_node, list) or not all(isinstance(r, str) for r in refs_node):
-            self.error(f"{ctx}: refs must be an array of strings")
-            ok = False
-        else:
-            refs = tuple(refs_node)
+        refs = node.get("refs", [])
+        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
+            self.check.error(f"{ctx}: refs must be an array of strings")
 
         entities_node = node.get("entities", [])
         entities = []
         if not isinstance(entities_node, list):
-            self.error(f"{ctx}: entities must be an array")
-            ok = False
+            self.check.error(f"{ctx}: entities must be an array")
         else:
             for index, entity_node in enumerate(entities_node):
                 entity = self._read_entity(entity_node, f"{ctx}.entities[{index}]")
-                if entity is None:
-                    ok = False
-                else:
+                if entity is not None:
                     entities.append(entity)
 
-        if not ok:
+        if self.check.errors > errors:
             return None
-        if not entities:
-            self.warn(f"{ctx}: no entity records")
+        self.check.entity_records(ctx, len(entities))
         return Application(
             id=app_id,
             name=name,
             year=year,
             genre=genre,
             subgenre=subgenre,
-            refs=refs,
+            refs=tuple(refs),
             entities=tuple(entities),
         )
 
     def _read_entity(self, node: Any, ctx: str) -> Entity | None:
         if not isinstance(node, dict):
-            self.error(f"{ctx}: must be an object")
+            self.check.error(f"{ctx}: must be an object")
             return None
         known = {"name", "what", "how", "count", "note"}
         for key in node:
             if key not in known:
-                self.warn(f"{ctx}: unknown key {key!r}")
-        ok = True
+                self.check.warning(f"{ctx}: unknown key {key!r}")
+        errors = self.check.errors
 
         name = node.get("name")
-        if not isinstance(name, str) or not name.strip():
-            self.error(f"{ctx}: name must be a non-empty string")
-            ok = False
+        if not isinstance(name, str):
+            self.check.error(f"{ctx}: name must be a string")
+        self.check.name(ctx, name)
 
         what_node = node.get("what")
         role = _ROLES.get(what_node) if isinstance(what_node, str) else None
         if role is None:
-            self.error(f"{ctx}: unknown role {what_node!r}")
-            ok = False
+            self.check.error(f"{ctx}: unknown role {what_node!r}")
         how_node = node.get("how")
         tangibility = _TANGIBILITIES.get(how_node) if isinstance(how_node, str) else None
         if tangibility is None:
-            self.error(f"{ctx}: unknown tangibility {how_node!r}")
-            ok = False
+            self.check.error(f"{ctx}: unknown tangibility {how_node!r}")
 
         count_node = node.get("count", 1)
-        count = Count(1)
-        if count_node == "many":
-            count = Count.MANY
-        elif isinstance(count_node, int) and not isinstance(count_node, bool):
-            if count_node < 1:
-                self.error(f"{ctx}: count must be positive")
-                ok = False
-            else:
-                count = Count(count_node)
-        else:
-            self.error(f"{ctx}: count must be a positive integer or 'many'")
-            ok = False
+        if count_node != "many" and not is_integer(count_node):
+            self.check.error(f"{ctx}: count must be a positive integer or 'many'")
+        self.check.count(ctx, count_node)
 
         note = node.get("note")
         if note is not None and not isinstance(note, str):
-            self.error(f"{ctx}: note must be a string")
-            ok = False
+            self.check.error(f"{ctx}: note must be a string")
 
-        if not ok:
+        if self.check.errors > errors:
             return None
+        count = Count.MANY if count_node == "many" else Count(count_node)
         return Entity(name=name, role=role, tangibility=tangibility, count=count, note=note)
 
 
 def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
     """Read the JSON interchange form.  Same all-or-nothing contract as parse_corpus."""
+    reader = _JsonReader()
     try:
-        data = json.loads(text)
+        corpus = reader.read(json.loads(text))
     except json.JSONDecodeError as exc:
         span = SourceSpan(exc.lineno, exc.colno)
         return Corpus(), [Diagnostic.error(f"invalid JSON: {exc.msg}", span)]
-    reader = _JsonReader()
-    corpus = reader.read(data)
-    if any(d.is_error for d in reader.diagnostics):
-        return Corpus(), reader.diagnostics
-    return corpus, reader.diagnostics
+    except RecursionError:
+        return Corpus(), [Diagnostic.error("invalid JSON: nested too deeply")]
+    return _all_or_nothing(corpus, reader.check)

@@ -26,6 +26,11 @@ __all__ = [
 ]
 
 
+def is_integer(value: object) -> bool:
+    """Whether ``value`` is an int proper: ``True`` and ``False`` are not."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class Role(enum.Enum):
     """What an entity is within the interaction."""
 
@@ -58,7 +63,7 @@ class Count:
 
     def __post_init__(self) -> None:
         if self.value is not None:
-            if not isinstance(self.value, int) or isinstance(self.value, bool):
+            if not is_integer(self.value):
                 raise TypeError(f"count value must be an int or None, got {self.value!r}")
             if self.value < 0:
                 raise ValueError(f"exact count must be non-negative, got {self.value}")
@@ -175,42 +180,82 @@ class Diagnostic:
         return self.severity is Severity.ERROR
 
 
+class InvariantChecker:
+    """The one home of every corpus invariant and of its message.
+
+    Feed it the applications of one corpus in order: it remembers the ids
+    and case-folded names seen so far.  ``where`` is the location the caller
+    knows, such as ``application 3``, ``applications[3].entities[0]`` or
+    ``entity 'e'``; ``span`` is the source position when there is one.  A
+    value of the wrong type (a missing or mistyped field, which the reader
+    reports itself) is not checked.  Readers add their own syntax and type
+    findings through ``error`` and ``warning``, so ``findings`` keeps one
+    order, and ``errors`` counts the errors so far.
+    """
+
+    def __init__(self) -> None:
+        self.findings: list[Diagnostic] = []
+        self.errors = 0
+        self._ids: set[int] = set()
+        self._names: set[str] = set()
+
+    def error(self, message: str, span: SourceSpan | None = None) -> None:
+        self.findings.append(Diagnostic.error(message, span))
+        self.errors += 1
+
+    def warning(self, message: str, span: SourceSpan | None = None) -> None:
+        self.findings.append(Diagnostic.warning(message, span))
+
+    def app_id(self, where: str, app_id: object, span: SourceSpan | None = None) -> None:
+        """Ids are positive and unique within the corpus."""
+        if not is_integer(app_id):
+            return
+        if app_id < 1:
+            self.error(f"{where}: id must be positive", span)
+        elif app_id in self._ids:
+            self.error(f"{where}: duplicate application id {app_id}", span)
+        self._ids.add(app_id)
+
+    def name(
+        self, where: str, name: object, span: SourceSpan | None = None, *, unique: bool = False
+    ) -> None:
+        """Names are non-empty; application names (``unique``) also differ
+        from every earlier one, ignoring case and surrounding blanks."""
+        if not isinstance(name, str):
+            return
+        folded = name.strip().casefold()
+        if not folded:
+            self.error(f"{where}: name must be non-empty", span)
+        elif unique:
+            if folded in self._names:
+                self.error(f"{where}: duplicate application name {name!r}", span)
+            self._names.add(folded)
+
+    def count(self, where: str, count: object, span: SourceSpan | None = None) -> None:
+        """Exact counts are positive; "many" is not an integer and always is."""
+        if is_integer(count) and count < 1:
+            self.error(f"{where}: count must be positive", span)
+
+    def entity_records(self, where: str, records: int, span: SourceSpan | None = None) -> None:
+        """An application without entity records loads, with a warning."""
+        if records == 0:
+            self.warning(f"{where}: no entity records", span)
+
+
 def validate(corpus: Corpus) -> list[Diagnostic]:
     """Check corpus invariants; return findings ordered by application then entity.
 
     Pure and idempotent: the corpus is never modified.  An empty corpus is
     valid.  Applications with no entities draw a warning, not an error.
     """
-    findings: list[Diagnostic] = []
-    seen_ids: set[int] = set()
-    seen_names: set[str] = set()
-
+    checker = InvariantChecker()
     for app in corpus.applications:
         where = f"application {app.id}"
-        if app.id < 1:
-            findings.append(Diagnostic.error(f"{where}: id must be positive"))
-        if not app.name.strip():
-            findings.append(Diagnostic.error(f"{where}: name must be non-empty"))
-        if app.id in seen_ids:
-            findings.append(Diagnostic.error(f"duplicate application id {app.id}"))
-        seen_ids.add(app.id)
-        folded = app.name.strip().casefold()
-        if folded and folded in seen_names:
-            findings.append(
-                Diagnostic.error(f"{where}: duplicate application name {app.name!r}")
-            )
-        seen_names.add(folded)
-        if not app.entities:
-            findings.append(Diagnostic.warning(f"{where}: application has no entities"))
-        for index, entity in enumerate(app.entities):
-            if not entity.name.strip():
-                findings.append(
-                    Diagnostic.error(f"{where}, entity {index + 1}: name must be non-empty")
-                )
-            if not entity.count.is_positive:
-                findings.append(
-                    Diagnostic.error(
-                        f"{where}, entity {index + 1} ({entity.name!r}): count must be positive"
-                    )
-                )
-    return findings
+        checker.app_id(where, app.id)
+        checker.name(where, app.name, unique=True)
+        checker.entity_records(where, len(app.entities))
+        for index, entity in enumerate(app.entities, 1):
+            at = f"{where}, entity {index}"
+            checker.name(at, entity.name)
+            checker.count(at, entity.count.value)
+    return checker.findings

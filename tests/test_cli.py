@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tangibility
 from tangibility.cli import main
 
 GOOD = """\
@@ -254,3 +259,34 @@ class TestUsage:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
         assert "invalid choice" in capsys.readouterr().err
+
+
+class TestInputEncoding:
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_byte_order_mark_is_dropped(self, fmt, source, tmp_path, monkeypatch, capsys):
+        assert main(["export", "--golden", "--format", fmt]) == 0
+        canonical = capsys.readouterr().out
+        if source == "file":
+            path = tmp_path / "bom.corpus"
+            path.write_text("\ufeff" + canonical, encoding="utf-8")
+            argv = ["export", str(path), "--format", fmt]
+        else:
+            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + canonical))
+            argv = ["export", "-", "--format", fmt]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (canonical, "")
+
+    def test_deeply_nested_json_is_a_diagnostic(self):
+        src = Path(tangibility.__file__).parent.parent
+        result = subprocess.run(
+            [sys.executable, "-m", "tangibility.cli", "validate", "-"],
+            input='{"applications":' + "[" * 100_000,
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr == "<stdin>: error: invalid JSON: nested too deeply\n"

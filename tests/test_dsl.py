@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +23,8 @@ from tangibility import (
     parse_corpus,
     serialize_corpus,
 )
+from tangibility.dsl import _TOKEN, _lex
+from tangibility.model import Diagnostic, SourceSpan
 
 MINIMAL = """
 # a one-specimen corpus
@@ -331,3 +334,231 @@ class TestJson:
         corpus, diagnostics = import_json("[1, 2]")
         assert corpus == Corpus()
         assert any("top level must be an object" in d.message for d in diagnostics)
+
+
+ENTITY = 'entity "e" { what: datum how: tangible }'
+ENTITY_JSON = {"name": "e", "what": "datum", "how": "tangible"}
+
+
+def _json(*apps):
+    return json.dumps({"applications": list(apps)})
+
+
+# One row per corpus invariant: (text input, JSON input, the one finding each
+# reader reports).  Text findings carry a line:column span, JSON ones a
+# location prefix in the message.
+INVARIANTS = {
+    "id positive": (
+        f'application "a" {{\n  id: 0\n  {ENTITY}\n}}',
+        _json({"id": 0, "name": "a", "entities": [ENTITY_JSON]}),
+        Diagnostic.error("application 0: id must be positive", SourceSpan(2, 7)),
+        Diagnostic.error("applications[0]: id must be positive"),
+    ),
+    "id unique": (
+        f'application "a" {{ id: 1 {ENTITY} }}\napplication "b" {{\n  id: 1\n  {ENTITY}\n}}',
+        _json(
+            {"id": 1, "name": "a", "entities": [ENTITY_JSON]},
+            {"id": 1, "name": "b", "entities": [ENTITY_JSON]},
+        ),
+        Diagnostic.error("application 1: duplicate application id 1", SourceSpan(3, 7)),
+        Diagnostic.error("applications[1]: duplicate application id 1"),
+    ),
+    "name non-empty": (
+        f'application " " {{\n  id: 1\n  {ENTITY}\n}}',
+        _json({"id": 1, "name": " ", "entities": [ENTITY_JSON]}),
+        Diagnostic.error("application 1: name must be non-empty", SourceSpan(1, 13)),
+        Diagnostic.error("applications[0]: name must be non-empty"),
+    ),
+    "name unique, ignoring case": (
+        f'application "Urp" {{ id: 1 {ENTITY} }}\napplication "URP " {{ id: 2 {ENTITY} }}',
+        _json(
+            {"id": 1, "name": "Urp", "entities": [ENTITY_JSON]},
+            {"id": 2, "name": "URP ", "entities": [ENTITY_JSON]},
+        ),
+        Diagnostic.error("application 2: duplicate application name 'URP '", SourceSpan(2, 13)),
+        Diagnostic.error("applications[1]: duplicate application name 'URP '"),
+    ),
+    "entity name non-empty": (
+        'application "a" {\n  id: 1\n  entity "" { what: datum how: tangible }\n}',
+        _json({"id": 1, "name": "a", "entities": [dict(ENTITY_JSON, name="")]}),
+        Diagnostic.error("entity '': name must be non-empty", SourceSpan(3, 10)),
+        Diagnostic.error("applications[0].entities[0]: name must be non-empty"),
+    ),
+    "count positive": (
+        'application "a" {\n  id: 1\n  entity "e" { what: datum how: tangible count: 0 }\n}',
+        _json({"id": 1, "name": "a", "entities": [dict(ENTITY_JSON, count=0)]}),
+        Diagnostic.error("entity 'e': count must be positive", SourceSpan(3, 49)),
+        Diagnostic.error("applications[0].entities[0]: count must be positive"),
+    ),
+    "entity records (warning)": (
+        'application "a" { id: 1 }',
+        _json({"id": 1, "name": "a"}),
+        Diagnostic.warning("application 1: no entity records", SourceSpan(1, 13)),
+        Diagnostic.warning("applications[0]: no entity records"),
+    ),
+}
+
+
+class TestInvariants:
+    @pytest.mark.parametrize("name", INVARIANTS)
+    def test_text(self, name):
+        text, _, expected, _ = INVARIANTS[name]
+        corpus, diagnostics = parse_corpus(text)
+        assert diagnostics == [expected]
+        assert (corpus == Corpus()) is expected.is_error
+
+    @pytest.mark.parametrize("name", INVARIANTS)
+    def test_json(self, name):
+        _, text, _, expected = INVARIANTS[name]
+        corpus, diagnostics = import_json(text)
+        assert diagnostics == [expected]
+        assert (corpus == Corpus()) is expected.is_error
+
+    def test_json_negative_count_is_a_diagnostic(self):
+        text = _json({"id": 1, "name": "a", "entities": [dict(ENTITY_JSON, count=-3)]})
+        assert import_json(text) == (
+            Corpus(),
+            [Diagnostic.error("applications[0].entities[0]: count must be positive")],
+        )
+
+    def test_json_mistyped_fields_keep_the_other_checks(self):
+        text = _json(
+            {"id": "1", "name": "a", "entities": [ENTITY_JSON]},
+            {"id": -1, "name": 5, "entities": [dict(ENTITY_JSON, name=None, count=0)]},
+        )
+        _, diagnostics = import_json(text)
+        assert [d.message for d in diagnostics] == [
+            "applications[0]: id must be an integer",
+            "applications[1]: id must be positive",
+            "applications[1]: name must be a string",
+            "applications[1].entities[0]: name must be a string",
+            "applications[1].entities[0]: count must be positive",
+        ]
+
+
+class TestLexer:
+    def test_identifier_characters_are_isalpha_then_isalnum(self):
+        start = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isalpha()] + ["_"]
+        tokens = _lex(" ".join(start))[:-1]
+        assert [(t.kind.name, t.text) for t in tokens] == [("IDENT", c) for c in start]
+        word = "_" + "".join(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isalnum())
+        assert [t.text for t in _lex(word)] == [word, ""]
+        for code in range(sys.maxunicode + 1):
+            char = chr(code)
+            if char.isalnum():
+                if not char.isalpha() and not "0" <= char <= "9":
+                    _, diagnostics = parse_corpus(char)
+                    assert diagnostics == [
+                        Diagnostic.error(f"unexpected character {char!r}", SourceSpan(1, 1))
+                    ]
+            elif char != "_":  # the character ends an identifier and starts none
+                assert _TOKEN.match("a" + char).group() == "a"
+                assert _TOKEN.match(char).lastgroup != "IDENT"
+
+    def test_eof_after_a_trailing_comment_is_at_the_end_of_the_line(self):
+        assert parse_corpus('application "a" { id: 1 # trailing') == (
+            Corpus(),
+            [
+                Diagnostic.error(
+                    "expected '}' to close the application block, found end of input",
+                    SourceSpan(1, 35),
+                )
+            ],
+        )
+
+    def test_carriage_return_ends_a_string(self):
+        text = f'application "a\rb" {{ id: 1 {ENTITY} }}'
+        assert parse_corpus(text) == (
+            Corpus(),
+            [Diagnostic.error("unterminated string", SourceSpan(1, 13))],
+        )
+
+    def test_crlf_is_whitespace(self):
+        text = f'application "a" {{\r\n  id: 1\r\n  {ENTITY}\r\n}}\r\n'
+        corpus, diagnostics = parse_corpus(text)
+        assert diagnostics == []
+        assert corpus == parse_corpus(text.replace("\r\n", "\n"))[0]
+        _, diagnostics = parse_corpus(text.replace("id: 1", "id: 0"))
+        assert diagnostics[0].span == SourceSpan(2, 7)
+
+    def test_unsupported_escape_span(self):
+        assert parse_corpus('application "ab\\n" {}')[1] == [
+            Diagnostic.error("unsupported escape '\\n'", SourceSpan(1, 16))
+        ]
+        assert parse_corpus('application "ab\\')[1] == [
+            Diagnostic.error("unsupported escape '\\end of input'", SourceSpan(1, 16))
+        ]
+
+
+class TestLists:
+    def test_unknown_key_list_cannot_swallow_braces(self):
+        text = (
+            'application "a" { id: 1 tags: [ "x" } '
+            f'application "b" {{ id: 2 ] {ENTITY} }}'
+        )
+        assert parse_corpus(text) == (
+            Corpus(),
+            [Diagnostic.error("expected ']' to close the list, found '}'", SourceSpan(1, 37))],
+        )
+
+    def test_unknown_key_list_of_scalars_is_skipped(self):
+        text = f'application "a" {{ id: 1 tags: [x, 2, "y"] {ENTITY} }}'
+        corpus, diagnostics = parse_corpus(text)
+        assert len(corpus.applications) == 1
+        assert diagnostics == [Diagnostic.warning("unknown key 'tags'", SourceSpan(1, 25))]
+
+    def test_refs_take_strings_only(self):
+        _, diagnostics = parse_corpus('application "a" { id: 1 refs: ["x", y] }')
+        assert diagnostics == [
+            Diagnostic.error("expected string after ',', found identifier 'y'", SourceSpan(1, 37))
+        ]
+
+
+def _quote(value):
+    return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+# Hostile text for a generated corpus: tabs, carriage returns, a byte order
+# mark and control characters, in strings and between tokens.
+_STRING_CHARS = 'ab Z_é"\\#{}\t\r\x00\x0b\x1f\x7f\x85\ufeff\u2028'
+_SEPARATORS = [" ", "\t", "\n", "\r\n", " \r ", "\t# note\r\n", "\ufeff", "\x0c"]
+
+
+@st.composite
+def _corpus_texts(draw):
+    def sep():
+        return draw(st.sampled_from(_SEPARATORS))
+
+    def string(prefix=""):
+        return _quote(prefix + draw(st.text(st.sampled_from(_STRING_CHARS), max_size=6)))
+
+    blocks = []
+    for index in range(draw(st.integers(0, 3))):
+        fields = [f"id:{sep()}{index + 1}"]
+        if draw(st.booleans()):
+            fields.append(f"genre:{sep()}{string()}")
+        if draw(st.booleans()):
+            refs = [string() for _ in range(draw(st.integers(0, 2)))]
+            fields.append(f"refs:{sep()}[{(',' + sep()).join(refs)}]")
+        for _ in range(draw(st.integers(0, 2))):
+            what = draw(st.sampled_from(["datum", "tool", "operation", "constraint"]))
+            how = draw(st.sampled_from(["tangible", "graspable", "intangible"]))
+            count = draw(st.sampled_from(["", " count: 2", " count: many"]))
+            note = draw(st.sampled_from(["", f" note: {string()}"]))
+            fields.append(
+                f"entity {string('e')}{sep()}{{ what: {what}{sep()}how: {how}{count}{note} }}"
+            )
+        body = sep().join(fields)
+        blocks.append(f"application{sep()}{string(f'app{index}')}{sep()}{{{sep()}{body}{sep()}}}")
+    return sep().join(blocks)
+
+
+@given(_corpus_texts())
+@settings(max_examples=300)
+def test_accepted_text_round_trips(text):
+    corpus, diagnostics = parse_corpus(text)
+    if any(d.is_error for d in diagnostics):
+        return
+    reparsed, diagnostics = parse_corpus(serialize_corpus(corpus))
+    assert _errors(diagnostics) == []
+    assert reparsed == corpus
