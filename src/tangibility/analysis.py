@@ -9,7 +9,9 @@ deterministically ordered so downstream renderings are byte-stable.
 from __future__ import annotations
 
 import enum
+import weakref
 from dataclasses import dataclass
+from operator import sub
 from typing import Union
 
 from .classify import classify
@@ -19,10 +21,8 @@ from .hallmark import (
     SymbolicCountError,
     binarize,
     compute_hallmark,
-    hamming_distance,
-    l1_distance,
 )
-from .model import Corpus, Role
+from .model import Application, Corpus, Role
 from .terms import TERMS, Term, term_of
 
 __all__ = [
@@ -129,11 +129,44 @@ def role_distribution(corpus: Corpus) -> dict[Role, RoleShare]:
     }
 
 
+# (weak reference to the latest corpus, its hallmarks in application order)
+_latest: tuple[weakref.ref, tuple[Hallmark, ...]] | None = None
+
+
+def _forget(ref: weakref.ref) -> None:
+    """Drop the hallmarks of a corpus that has been freed."""
+    global _latest
+    if _latest is not None and _latest[0] is ref:
+        _latest = None
+
+
+def _hallmarks(corpus: Corpus) -> tuple[Hallmark, ...]:
+    """Each application's hallmark, in corpus order.
+
+    A corpus is immutable, so the hallmarks of the latest one are kept for
+    the next section that asks: a report computes each hallmark once.  The
+    corpus is matched by identity and held weakly.  The slot is read once,
+    so a concurrent caller never pairs one corpus with another's hallmarks.
+    """
+    global _latest
+    latest = _latest
+    if latest is not None and latest[0]() is corpus:
+        return latest[1]
+    marks = tuple(compute_hallmark(app) for app in corpus.applications)
+    _latest = (weakref.ref(corpus, _forget), marks)
+    return marks
+
+
+def _by_id(corpus: Corpus) -> list[tuple[Application, Hallmark]]:
+    """(application, hallmark) pairs in ascending id order."""
+    return sorted(zip(corpus.applications, _hallmarks(corpus)), key=lambda pair: pair[0].id)
+
+
 def class_distribution(corpus: Corpus) -> dict[str, int]:
     """Applications per class label, including 'unclassified'."""
     distribution = {label: 0 for label in CLASS_LABELS}
-    for app in corpus.applications:
-        distribution[classify(compute_hallmark(app)).label] += 1
+    for mark in _hallmarks(corpus):
+        distribution[classify(mark).label] += 1
     return distribution
 
 
@@ -147,10 +180,8 @@ def _clusters(keyed: dict) -> list[Cluster]:
 
 def _group_by_hallmark(corpus: Corpus, binary: bool) -> dict:
     keyed: dict = {}
-    for app in corpus.applications:
-        key: Union[Hallmark, BinaryHallmark] = compute_hallmark(app)
-        if binary:
-            key = binarize(key)
+    for app, mark in zip(corpus.applications, _hallmarks(corpus)):
+        key: Union[Hallmark, BinaryHallmark] = binarize(mark) if binary else mark
         keyed.setdefault(key, []).append(app.id)
     return keyed
 
@@ -180,24 +211,29 @@ def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
     The L1 metric needs exact components, so a corpus containing a "many"
     raises SymbolicCountError naming the offending application.
     """
-    apps = sorted(corpus.applications, key=lambda a: a.id)
-    hallmarks = [compute_hallmark(app) for app in apps]
+    pairs = _by_id(corpus)
     if metric is Metric.L1:
-        for app, mark in zip(apps, hallmarks):
+        for app, mark in pairs:
             if mark.has_many:
                 raise SymbolicCountError(
                     f"symbolic count 'many' in application {app.id}; "
                     "L1 distance is undefined"
                 )
-        rows = tuple(
-            tuple(l1_distance(a, b) for b in hallmarks) for a in hallmarks
-        )
+        rows = _l1_rows([tuple(c.value for c in mark.components) for _, mark in pairs])
     else:
-        binaries = [binarize(mark) for mark in hallmarks]
-        rows = tuple(
-            tuple(hamming_distance(a, b) for b in binaries) for a in binaries
-        )
-    return DistanceMatrix(metric, tuple(app.id for app in apps), rows)
+        masks = [mark.mask for _, mark in pairs]
+        rows = tuple(tuple(map(int.bit_count, map(a.__xor__, masks))) for a in masks)
+    return DistanceMatrix(metric, tuple(app.id for app, _ in pairs), rows)
+
+
+def _l1_rows(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
+    """The L1 matrix of int vectors.  It is symmetric, so each distance is
+    computed once: row i takes its first i cells from the rows before it."""
+    rows: list[tuple[int, ...]] = []
+    for i, a in enumerate(vectors):
+        after = [sum(map(abs, map(sub, a, b))) for b in vectors[i + 1 :]]
+        rows.append(tuple([row[i] for row in rows] + [0] + after))
+    return tuple(rows)
 
 
 def cross_tab(corpus: Corpus, key: str) -> CrossTab:
@@ -210,8 +246,8 @@ def cross_tab(corpus: Corpus, key: str) -> CrossTab:
         raise ValueError(f"key must be 'genre' or 'subgenre', got {key!r}")
     apps = []
     grouped: dict[str, dict[str, list[int]]] = {}
-    for app in sorted(corpus.applications, key=lambda a: a.id):
-        label = classify(compute_hallmark(app)).label
+    for app, mark in _by_id(corpus):
+        label = classify(mark).label
         apps.append(
             CrossTabApp(
                 id=app.id,

@@ -2,7 +2,8 @@
 
 An application's class depends only on which hallmark components are
 positive, never on their magnitudes, so classification is invariant under
-binarization and accepts either vector form.
+binarization and accepts either vector form: both classifiers read only the
+vector's positivity mask.
 
 Component shorthand used below: D/T/O/C for the datum, tool, operation and
 constraint roles, subscripted T/G/I for tangible, graspable, intangible.
@@ -31,7 +32,7 @@ import enum
 from dataclasses import dataclass
 from typing import Union
 
-from .hallmark import BinaryHallmark, Hallmark, positivity
+from .hallmark import BinaryHallmark, Hallmark
 
 __all__ = [
     "TangibilityClass",
@@ -75,27 +76,35 @@ class ClassResult:
         return self.outcome.value if self.outcome else "unclassified"
 
 
+# Positivity mask bits (bit i is term i, so datum is the rightmost group of
+# three): bodied (tangible or graspable) and intangible data, bodied and all
+# tools, bodied operations.
+_D_BODIED = 0b000_000_011
+_D_I = 0b000_000_100
+_T_BODIED = 0b000_011_000
+_TOOLS = 0b000_111_000
+_O_BODIED = 0b011_000_000
+
+# The results are immutable, so every classification shares these.
+_CLASS_I = ClassResult(TangibilityClass.I, rule="I")
+_CLASS_II = ClassResult(TangibilityClass.II, rule="II")
+_CLASS_III = ClassResult(TangibilityClass.III, rule="III")
+_CLASS_IV = ClassResult(TangibilityClass.IV, rule="IV")
+_NO_BODIED_TOOL = ClassResult(None, reason="intangible data but no tangible or graspable tool")
+_NO_DATA = ClassResult(None, reason="tools present but no data")
+_NO_DATA_NO_OPERATION = ClassResult(None, reason="no data, no bodied operation")
+
+
 def classify(vector: Vector) -> ClassResult:
     """Assign a tangibility class from component positivity."""
-    p = positivity(vector)
-    d_t, d_g, d_i, t_t, t_g, t_i, o_t, o_g = p[:8]
-
-    if (d_t or d_g) and not d_i:
-        return ClassResult(TangibilityClass.I, rule="I")
-    if (d_t or d_g) and d_i:
-        return ClassResult(TangibilityClass.II, rule="II")
-    if d_i and not d_t and not d_g and (t_t or t_g):
-        return ClassResult(TangibilityClass.III, rule="III")
-    if not any((d_t, d_g, d_i, t_t, t_g, t_i)) and (o_t or o_g):
-        return ClassResult(TangibilityClass.IV, rule="IV")
-
-    if d_i:
-        reason = "intangible data but no tangible or graspable tool"
-    elif t_t or t_g or t_i:
-        reason = "tools present but no data"
-    else:
-        reason = "no data, no bodied operation"
-    return ClassResult(None, reason=reason)
+    mask = vector.mask
+    if mask & _D_BODIED:
+        return _CLASS_II if mask & _D_I else _CLASS_I
+    if mask & _D_I:
+        return _CLASS_III if mask & _T_BODIED else _NO_BODIED_TOOL
+    if mask & _TOOLS:
+        return _NO_DATA
+    return _CLASS_IV if mask & _O_BODIED else _NO_DATA_NO_OPERATION
 
 
 class Cell(enum.Enum):
@@ -105,28 +114,37 @@ class Cell(enum.Enum):
     POSITIVE = "+"
     ANY = "*"
 
-    def admits(self, positive: bool) -> bool:
-        if self is Cell.ZERO:
-            return not positive
-        if self is Cell.POSITIVE:
-            return positive
-        return True
-
 
 @dataclass(frozen=True)
 class PatternRule:
+    """A pattern row as two masks: the bits it constrains (``care``) and
+    the values it wants there (``want``)."""
+
     label: str
     outcome: TangibilityClass
-    cells: tuple[Cell, ...]
+    care: int
+    want: int
+
+    @property
+    def cells(self) -> tuple[Cell, ...]:
+        """The row as transcribed, one cell per term."""
+        return tuple(
+            Cell.ANY if not self.care >> i & 1
+            else Cell.POSITIVE if self.want >> i & 1
+            else Cell.ZERO
+            for i in range(12)
+        )
 
     def matches(self, vector: Vector) -> bool:
-        return all(cell.admits(flag) for cell, flag in zip(self.cells, positivity(vector)))
+        return vector.mask & self.care == self.want
 
 
 def _row(label: str, outcome: TangibilityClass, pattern: str) -> PatternRule:
-    cells = tuple(Cell(ch) for ch in pattern.split())
+    cells = [Cell(ch) for ch in pattern.split()]
     assert len(cells) == 12
-    return PatternRule(label, outcome, cells)
+    care = sum(1 << i for i, cell in enumerate(cells) if cell is not Cell.ANY)
+    want = sum(1 << i for i, cell in enumerate(cells) if cell is Cell.POSITIVE)
+    return PatternRule(label, outcome, care, want)
 
 
 # Cell order is canonical term order: datum, tool, operation, constraint,

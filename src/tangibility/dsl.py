@@ -17,11 +17,13 @@ The text format is line-oriented and brace-delimited:
     }
 
 Strings are double-quoted and hold no line break (neither \\n nor \\r); the
-only escapes are \\" and \\\\.  `what` and `how` are mandatory per entity;
-`count` defaults to 1.  Unknown keys draw warnings and are skipped, so the
-format can grow without breaking old readers; their value is a scalar or a
-list of scalars.  Any error leaves nothing half-loaded: `parse_corpus` then
-returns an empty corpus alongside the diagnostics.
+only escapes are \\" and \\\\.  The JSON reader refuses a line break in the
+same fields, so whatever loads can be written as text.  `what` and `how`
+are mandatory per entity; `count` defaults to 1.  Unknown keys draw warnings
+and are skipped, so the format can grow without breaking old readers; their
+value is a scalar or a list of scalars.  Any error leaves nothing
+half-loaded: `parse_corpus` then returns an empty corpus alongside the
+diagnostics.
 
 Both readers report in input order: each invariant of `model` is checked
 where its value is read, except that the entity-less warning, and in text
@@ -40,6 +42,7 @@ from __future__ import annotations
 import enum
 import json
 import re
+import sys
 from typing import Any, NamedTuple
 
 from .model import (
@@ -144,10 +147,17 @@ def _lex(text: str) -> list[_Token]:
             if "\\" in value:
                 value = _ESCAPE.sub(r"\1", value)
         elif kind == "INTEGER":
-            value = int(raw)
+            try:
+                value = int(raw)
+            except ValueError:  # more digits than sys.get_int_max_str_digits()
+                raise _ParseError(_too_long(), SourceSpan(line, column)) from None
         tokens.append(_Token(_KINDS[kind], raw, value, line, column))
     tokens.append(_Token(_TokenKind.EOF, "", None, line, len(text) - line_start + 1))
     return tokens
+
+
+def _too_long() -> str:
+    return f"integer longer than {sys.get_int_max_str_digits()} digits"
 
 
 def _lex_error(text: str, start: int, span: SourceSpan) -> _ParseError:
@@ -490,6 +500,7 @@ class _JsonReader:
         if not isinstance(name, str):
             self.check.error(f"{ctx}: name must be a string")
         self.check.name(ctx, name, unique=True)
+        self.check.one_line(ctx, "name", name)
 
         year = node.get("year")
         if year is not None and not is_integer(year):
@@ -501,10 +512,15 @@ class _JsonReader:
         subgenre = node.get("subgenre")
         if subgenre is not None and not isinstance(subgenre, str):
             self.check.error(f"{ctx}: subgenre must be a string")
+        self.check.one_line(ctx, "genre", genre)
+        self.check.one_line(ctx, "subgenre", subgenre)
 
         refs = node.get("refs", [])
         if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
             self.check.error(f"{ctx}: refs must be an array of strings")
+        else:
+            for index, ref in enumerate(refs):
+                self.check.one_line(ctx, f"refs[{index}]", ref)
 
         entities_node = node.get("entities", [])
         entities = []
@@ -543,6 +559,7 @@ class _JsonReader:
         if not isinstance(name, str):
             self.check.error(f"{ctx}: name must be a string")
         self.check.name(ctx, name)
+        self.check.one_line(ctx, "name", name)
 
         what_node = node.get("what")
         role = _ROLES.get(what_node) if isinstance(what_node, str) else None
@@ -561,6 +578,7 @@ class _JsonReader:
         note = node.get("note")
         if note is not None and not isinstance(note, str):
             self.check.error(f"{ctx}: note must be a string")
+        self.check.one_line(ctx, "note", note)
 
         if self.check.errors > errors:
             return None
@@ -568,14 +586,23 @@ class _JsonReader:
         return Entity(name=name, role=role, tangibility=tangibility, count=count, note=note)
 
 
+_NESTED_TOO_DEEPLY = "invalid JSON: nested too deeply"
+
+
 def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
     """Read the JSON interchange form.  Same all-or-nothing contract as parse_corpus."""
     reader = _JsonReader()
     try:
-        corpus = reader.read(json.loads(text))
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         span = SourceSpan(exc.lineno, exc.colno)
         return Corpus(), [Diagnostic.error(f"invalid JSON: {exc.msg}", span)]
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return Corpus(), [Diagnostic.error(f"invalid JSON: {_too_long()}")]
     except RecursionError:
-        return Corpus(), [Diagnostic.error("invalid JSON: nested too deeply")]
+        return Corpus(), [Diagnostic.error(_NESTED_TOO_DEEPLY)]
+    try:
+        corpus = reader.read(data)
+    except RecursionError:  # a value too deep to print in a message
+        return Corpus(), [Diagnostic.error(_NESTED_TOO_DEEPLY)]
     return _all_or_nothing(corpus, reader.check)

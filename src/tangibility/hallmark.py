@@ -4,11 +4,15 @@ A hallmark has twelve components in canonical term order, each a Count.
 Binarization cuts every component to presence (0 or 1); "many" binarizes
 to 1.  L1 distance is defined only on hallmarks free of "many"; Hamming
 distance is defined on binary hallmarks and never exceeds 12.
+
+Both vector forms carry their positivity as a 12-bit int, ``mask``: bit i
+is set when component i (``TERMS[i]``) is positive.  Classification and
+Hamming distance work on the mask alone.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Union
 
 from .model import Application, Count
@@ -43,15 +47,18 @@ def _as_count(value: Union[int, str, Count]) -> Count:
 
 @dataclass(frozen=True)
 class Hallmark:
-    """Twelve Counts in canonical term order."""
+    """Twelve Counts in canonical term order, and their positivity mask."""
 
     components: tuple[Count, ...]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.components) != COMPONENT_COUNT:
             raise ValueError(
                 f"hallmark needs {COMPONENT_COUNT} components, got {len(self.components)}"
             )
+        mask = sum(1 << i for i, c in enumerate(self.components) if c.is_positive)
+        object.__setattr__(self, "mask", mask)
 
     @classmethod
     def of(cls, *values: Union[int, str, Count]) -> "Hallmark":
@@ -60,7 +67,7 @@ class Hallmark:
 
     @classmethod
     def zero(cls) -> "Hallmark":
-        return cls((Count(0),) * COMPONENT_COUNT)
+        return cls((_SMALL[0],) * COMPONENT_COUNT)
 
     def component(self, term: Term) -> Count:
         return self.components[term.index]
@@ -80,9 +87,11 @@ class Hallmark:
 
 @dataclass(frozen=True)
 class BinaryHallmark:
-    """Presence vector: one bit per term, in canonical term order."""
+    """Presence vector: one bit per term, in canonical term order, and the
+    same bits as a mask."""
 
     bits: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.bits) != COMPONENT_COUNT:
@@ -91,6 +100,7 @@ class BinaryHallmark:
             )
         if any(bit not in (0, 1) for bit in self.bits):
             raise ValueError("binary hallmark bits must be 0 or 1")
+        object.__setattr__(self, "mask", sum(1 << i for i, bit in enumerate(self.bits) if bit))
 
     def to_json(self) -> list[int]:
         return list(self.bits)
@@ -99,20 +109,35 @@ class BinaryHallmark:
         return "(" + ", ".join(str(bit) for bit in self.bits) + ")"
 
 
+# Counts are immutable, so hallmarks share these instead of making their own.
+_SMALL = tuple(Count(n) for n in range(64))
+
+
 def compute_hallmark(app: Application) -> Hallmark:
     """Sum entity counts per term.  An application with no entities is all zero.
 
     Summing absorbs "many": any term with a many-counted entity gets "many".
     """
-    totals = [Count(0)] * COMPONENT_COUNT
+    totals = [0] * COMPONENT_COUNT
+    many = 0
     for entity in app.entities:
         index = term_of(entity.role, entity.tangibility).index
-        totals[index] = totals[index] + entity.count
-    return Hallmark(tuple(totals))
+        value = entity.count.value
+        if value is None:
+            many |= 1 << index
+        else:
+            totals[index] += value
+    return Hallmark(
+        tuple(
+            Count.MANY if many >> i & 1 else _SMALL[n] if n < len(_SMALL) else Count(n)
+            for i, n in enumerate(totals)
+        )
+    )
 
 
 def binarize(hallmark: Hallmark) -> BinaryHallmark:
-    return BinaryHallmark(tuple(1 if c.is_positive else 0 for c in hallmark.components))
+    mask = hallmark.mask
+    return BinaryHallmark(tuple(mask >> i & 1 for i in range(COMPONENT_COUNT)))
 
 
 def l1_distance(a: Hallmark, b: Hallmark) -> int:
@@ -129,11 +154,4 @@ def l1_distance(a: Hallmark, b: Hallmark) -> int:
 
 
 def hamming_distance(a: BinaryHallmark, b: BinaryHallmark) -> int:
-    return sum(1 for x, y in zip(a.bits, b.bits) if x != y)
-
-
-def positivity(vector: Union[Hallmark, BinaryHallmark]) -> tuple[bool, ...]:
-    """Per-term presence flags, accepting either vector form."""
-    if isinstance(vector, Hallmark):
-        return tuple(c.is_positive for c in vector.components)
-    return tuple(bit == 1 for bit in vector.bits)
+    return (a.mask ^ b.mask).bit_count()

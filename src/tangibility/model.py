@@ -231,6 +231,12 @@ class InvariantChecker:
                 self.error(f"{where}: duplicate application name {name!r}", span)
             self._names.add(folded)
 
+    def one_line(self, where: str, field: str, value: object) -> None:
+        """Strings hold no line break ("\\n" or "\\r"): the text format cannot
+        write one."""
+        if isinstance(value, str) and ("\n" in value or "\r" in value):
+            self.error(f"{where}: {field} must not contain a line break")
+
     def count(self, where: str, count: object, span: SourceSpan | None = None) -> None:
         """Exact counts are positive; "many" is not an integer and always is."""
         if is_integer(count) and count < 1:
@@ -253,9 +259,16 @@ def validate(corpus: Corpus) -> list[Diagnostic]:
         where = f"application {app.id}"
         checker.app_id(where, app.id)
         checker.name(where, app.name, unique=True)
+        checker.one_line(where, "name", app.name)
+        checker.one_line(where, "genre", app.genre)
+        checker.one_line(where, "subgenre", app.subgenre)
+        for index, ref in enumerate(app.refs):
+            checker.one_line(where, f"refs[{index}]", ref)
         checker.entity_records(where, len(app.entities))
         for index, entity in enumerate(app.entities, 1):
             at = f"{where}, entity {index}"
             checker.name(at, entity.name)
+            checker.one_line(at, "name", entity.name)
             checker.count(at, entity.count.value)
+            checker.one_line(at, "note", entity.note)
     return checker.findings

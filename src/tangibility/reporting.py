@@ -13,7 +13,7 @@ import io
 import json
 from dataclasses import dataclass
 from itertools import chain
-from typing import Any, Iterable
+from typing import Any, Iterable, Iterator
 
 from .analysis import (
     CLASS_LABELS,
@@ -78,6 +78,20 @@ def _table_lines(
         ]
         lines.append("  ".join(cells).rstrip())
     return lines
+
+
+def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
+    """The matrix as an indented right-aligned table, formatted line by line.
+
+    A distance matrix is symmetric, so column j is as wide as id j or the
+    largest value of row j, and no cell string outlives its line.
+    """
+    ids = [str(i) for i in matrix.ids]
+    widths = [max(len(i), len(str(max(row)))) for i, row in zip(ids, matrix.rows)]
+    first = max([2, *map(len, ids)])
+    yield "  " + "  ".join(["id".rjust(first), *map(str.rjust, ids, widths)])
+    for i, row in zip(ids, matrix.rows):
+        yield "  " + "  ".join([i.rjust(first), *map(str.rjust, map(str, row), widths)])
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -222,13 +236,6 @@ class Analytics:
             (row.label, *(_ids(ids, " ") or "-" for ids in row.cells.values()))
             for row in tab.rows
         ]
-        # Formatted here, so the n x n cell strings are freed before indenting.
-        ids = tuple(map(str, self.matrix.ids))
-        matrix = _table_lines(
-            ("id",) + ids,
-            [(i, *map(str, row)) for i, row in zip(ids, self.matrix.rows)],
-            "r" * (len(ids) + 1),
-        )
         return [
             f"applications: {self.application_count}",
             f"entity records: {self.record_count}",
@@ -250,7 +257,7 @@ class Analytics:
             *_indent(_table_lines((tab.key,) + CLASS_LABELS, tab_rows, "l" * 6)),
             "",
             f"distance matrix ({self.matrix.metric.value}):",
-            *_indent(matrix),
+            *_matrix_lines(self.matrix),
         ]
 
     def csv_tables(self) -> list[Table]:
@@ -371,7 +378,8 @@ def _checked(report: Any, fmt: str) -> Any:
 
 
 def render_text(report: Any) -> str:
-    return "\n".join(_checked(report, "text").text_lines()) + "\n"
+    # The empty last line ends the output with "\n" without copying it again.
+    return "\n".join([*_checked(report, "text").text_lines(), ""])
 
 
 def _csv(table: Table) -> str:

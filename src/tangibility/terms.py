@@ -11,6 +11,7 @@ hallmark vectors and of every tabular output.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .model import Role, Tangibility
 
@@ -36,18 +37,13 @@ class UnknownTermError(ValueError):
 
 @dataclass(frozen=True)
 class Term:
-    """One role x tangibility combination and its canonical name."""
+    """One role x tangibility combination, its canonical name, and its
+    position in canonical order, 0 through 11 (``index``)."""
 
     role: Role
     tangibility: Tangibility
     name: str
-
-    @property
-    def index(self) -> int:
-        """Position of this term in canonical order, 0 through 11."""
-        roles = list(Role)
-        tangibilities = list(Tangibility)
-        return roles.index(self.role) * 3 + tangibilities.index(self.tangibility)
+    index: int
 
     @property
     def gloss(self) -> str:
@@ -56,9 +52,8 @@ class Term:
 
 
 TERMS: tuple[Term, ...] = tuple(
-    Term(role, tang, _BASES[role] + _SUFFIXES[tang])
-    for role in Role
-    for tang in Tangibility
+    Term(role, tang, _BASES[role] + _SUFFIXES[tang], index)
+    for index, (role, tang) in enumerate(product(Role, Tangibility))
 )
 
 _BY_NAME = {term.name: term for term in TERMS}

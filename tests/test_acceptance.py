@@ -24,6 +24,8 @@ import sys
 from corpusgen import random_corpus, random_hallmark
 from tangibility import (
     BinaryHallmark,
+    Hallmark,
+    TangibilityClass,
     classify,
     classify_by_patterns,
     class_distribution,
@@ -39,11 +41,13 @@ from tangibility import (
     hamming_distance,
     load_golden,
     parse_corpus,
+    pattern_table,
     role_distribution,
     serialize_corpus,
     term_coverage,
     validate,
 )
+from tangibility.classify import ClassResult
 
 # Published reference table, verbatim: hallmark vector and class per
 # application id.  "N" marks the symbolic count.  Row 26 is wrong as printed;
@@ -315,6 +319,104 @@ def test_criterion_07_classifier_exclusivity():
         if not paired_sibling_positive:
             by_patterns = classify_by_patterns(mark)
             assert by_patterns.outcome == result.outcome, (mark, by_patterns, result)
+
+
+# Exhaustive checks over all 2**12 positivity masks, next to criterion 7.
+# The oracles are the tuple-predicate classifier and the first-match pattern
+# loop that the mask-based classifiers replaced, kept here as they were.
+
+
+def _seed_positivity(vector) -> tuple[bool, ...]:
+    if isinstance(vector, Hallmark):
+        return tuple(c.is_positive for c in vector.components)
+    return tuple(bit == 1 for bit in vector.bits)
+
+
+def _seed_classify(vector) -> ClassResult:
+    p = _seed_positivity(vector)
+    d_t, d_g, d_i, t_t, t_g, t_i, o_t, o_g = p[:8]
+
+    if (d_t or d_g) and not d_i:
+        return ClassResult(TangibilityClass.I, rule="I")
+    if (d_t or d_g) and d_i:
+        return ClassResult(TangibilityClass.II, rule="II")
+    if d_i and not d_t and not d_g and (t_t or t_g):
+        return ClassResult(TangibilityClass.III, rule="III")
+    if not any((d_t, d_g, d_i, t_t, t_g, t_i)) and (o_t or o_g):
+        return ClassResult(TangibilityClass.IV, rule="IV")
+
+    if d_i:
+        reason = "intangible data but no tangible or graspable tool"
+    elif t_t or t_g or t_i:
+        reason = "tools present but no data"
+    else:
+        reason = "no data, no bodied operation"
+    return ClassResult(None, reason=reason)
+
+
+_SEED_ROWS = (
+    ("I.1", TangibilityClass.I, "+ 0 0  * * *  * * *  * * *"),
+    ("I.2", TangibilityClass.I, "0 + 0  * * *  * * *  * * *"),
+    ("II.1", TangibilityClass.II, "+ 0 +  * * *  * * *  * * *"),
+    ("II.2", TangibilityClass.II, "0 + +  * * *  * * *  * * *"),
+    ("III.1", TangibilityClass.III, "0 0 +  0 + *  * * *  * * *"),
+    ("III.2", TangibilityClass.III, "0 0 +  + 0 *  * * *  * * *"),
+    ("IV.1", TangibilityClass.IV, "0 0 0  0 0 0  + 0 *  * * *"),
+    ("IV.2", TangibilityClass.IV, "0 0 0  0 0 0  0 + *  * * *"),
+)
+
+
+def _seed_admits(cell: str, positive: bool) -> bool:
+    if cell == "0":
+        return not positive
+    if cell == "+":
+        return positive
+    return True
+
+
+def _seed_row_matches(pattern: str, vector) -> bool:
+    flags = _seed_positivity(vector)
+    return all(_seed_admits(cell, flag) for cell, flag in zip(pattern.split(), flags))
+
+
+def _seed_classify_by_patterns(vector) -> ClassResult:
+    for label, outcome, pattern in _SEED_ROWS:
+        if _seed_row_matches(pattern, vector):
+            return ClassResult(outcome, rule=label)
+    return ClassResult(None, reason="no pattern row matches")
+
+
+def _mask_vectors(mask: int) -> tuple[Hallmark, BinaryHallmark]:
+    """Both vector forms with positivity ``mask``; positive components of
+    the counted form cycle through "many", 1 and 3."""
+    bits = tuple(mask >> i & 1 for i in range(12))
+    counts = (("many", 1, 3)[i % 3] if bit else 0 for i, bit in enumerate(bits))
+    return Hallmark.of(*counts), BinaryHallmark(bits)
+
+
+def test_classifiers_match_the_tuple_oracles_on_every_mask():
+    disagreements = 0
+    for mask in range(2**12):
+        mark, binary = _mask_vectors(mask)
+        for vector in (mark, binary):
+            assert vector.mask == mask
+            assert classify(vector) == _seed_classify(vector), (mask, vector)
+            assert classify_by_patterns(vector) == _seed_classify_by_patterns(vector), mask
+            matching = [rule.label for rule in pattern_table() if rule.matches(vector)]
+            assert matching == [
+                label for label, _, pattern in _SEED_ROWS if _seed_row_matches(pattern, vector)
+            ], mask
+        assert binarize(mark) == binary
+        disagreements += classify(mark).outcome != classify_by_patterns(mark).outcome
+    assert disagreements == 1168
+
+
+def test_hamming_distance_matches_the_bit_tuple_oracle_on_every_mask():
+    binaries = [_mask_vectors(mask)[1] for mask in range(2**12)]
+    sample = random.Random(0x4A11).sample(binaries, 32)
+    for a in binaries:
+        for b in sample:
+            assert hamming_distance(a, b) == sum(x != y for x, y in zip(a.bits, b.bits))
 
 
 @criterion(8, "parse/serialize and import/export round-trip 1,000 random corpora and the golden corpus")

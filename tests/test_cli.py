@@ -279,14 +279,73 @@ class TestInputEncoding:
         assert (captured.out, captured.err) == (canonical, "")
 
     def test_deeply_nested_json_is_a_diagnostic(self):
-        src = Path(tangibility.__file__).parent.parent
-        result = subprocess.run(
-            [sys.executable, "-m", "tangibility.cli", "validate", "-"],
-            input='{"applications":' + "[" * 100_000,
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": str(src)},
-        )
+        result = _validate_stdin('{"applications":' + "[" * 100_000)
         assert result.returncode == 1
         assert "Traceback" not in result.stderr
         assert result.stderr == "<stdin>: error: invalid JSON: nested too deeply\n"
+
+    @pytest.mark.parametrize(
+        "text, expected",
+        [
+            (
+                'application "a" {\n  id: ' + "1" * 5_000 + "\n}\n",
+                "<stdin>:2:7: error: integer longer than 4300 digits\n",
+            ),
+            (
+                '{"applications":[{"id":' + "1" * 5_000 + ',"name":"a"}]}',
+                "<stdin>: error: invalid JSON: integer longer than 4300 digits\n",
+            ),
+        ],
+        ids=["text", "json"],
+    )
+    def test_long_integer_is_a_diagnostic(self, text, expected):
+        result = _validate_stdin(text)
+        assert result.returncode == 1
+        assert "Traceback" not in result.stderr
+        assert result.stderr == expected
+
+    @pytest.mark.parametrize(
+        "path, where",
+        [
+            (("name",), "applications[0]: name"),
+            (("genre",), "applications[0]: genre"),
+            (("subgenre",), "applications[0]: subgenre"),
+            (("refs", 1), "applications[0]: refs[1]"),
+            (("entities", 0, "name"), "applications[0].entities[0]: name"),
+            (("entities", 0, "note"), "applications[0].entities[0]: note"),
+        ],
+    )
+    @pytest.mark.parametrize("line_break", ["\n", "\r"], ids=["LF", "CR"])
+    def test_validate_and_export_agree_on_a_line_break(
+        self, path, where, line_break, monkeypatch, capsys
+    ):
+        app = {
+            "id": 1,
+            "name": "a",
+            "genre": "g",
+            "subgenre": "s",
+            "refs": ["r", "q"],
+            "entities": [{"name": "e", "what": "datum", "how": "tangible", "note": "n"}],
+        }
+        node = app
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = f"x{line_break}y"
+        text = json.dumps({"applications": [app]})
+        for command in ("validate", "export"):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            assert main([command, "-"]) == 1
+            expected = f"<stdin>: error: {where} must not contain a line break\n"
+            assert capsys.readouterr() == ("", expected)
+
+
+def _validate_stdin(text: str) -> subprocess.CompletedProcess:
+    """`tangibility validate -` in a fresh interpreter, so a crash shows."""
+    src = Path(tangibility.__file__).parent.parent
+    return subprocess.run(
+        [sys.executable, "-m", "tangibility.cli", "validate", "-"],
+        input=text,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+    )

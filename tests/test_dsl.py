@@ -455,6 +455,17 @@ class TestLexer:
                 assert _TOKEN.match("a" + char).group() == "a"
                 assert _TOKEN.match(char).lastgroup != "IDENT"
 
+    def test_integer_longer_than_the_conversion_limit(self):
+        limit = sys.get_int_max_str_digits()
+        assert parse_corpus('application "a" { id: ' + "7" * (limit + 1) + " }") == (
+            Corpus(),
+            [Diagnostic.error(f"integer longer than {limit} digits", SourceSpan(1, 23))],
+        )
+        assert import_json('{"applications": [{"id": ' + "7" * (limit + 1) + "}]}") == (
+            Corpus(),
+            [Diagnostic.error(f"invalid JSON: integer longer than {limit} digits")],
+        )
+
     def test_eof_after_a_trailing_comment_is_at_the_end_of_the_line(self):
         assert parse_corpus('application "a" { id: 1 # trailing') == (
             Corpus(),

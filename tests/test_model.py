@@ -94,6 +94,22 @@ class TestValidate:
         assert len(findings) == 1
         assert "duplicate application name" in findings[0].message
 
+    def test_line_breaks_in_written_strings(self):
+        app = Application(
+            id=1,
+            name="a\nb",
+            genre="g\r",
+            refs=("r", "s\nt"),
+            entities=(Entity("e\n", Role.DATUM, Tangibility.TANGIBLE, note="n\r\n"),),
+        )
+        assert [f.message for f in validate(Corpus((app,)))] == [
+            "application 1: name must not contain a line break",
+            "application 1: genre must not contain a line break",
+            "application 1: refs[1] must not contain a line break",
+            "application 1, entity 1: name must not contain a line break",
+            "application 1, entity 1: note must not contain a line break",
+        ]
+
     def test_id_must_be_positive(self):
         findings = validate(Corpus((_app(0),)))
         assert any("id must be positive" in f.message for f in findings)

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import re
+import sys
 
 import pytest
 
@@ -40,6 +42,37 @@ TERM_NAMES = [t.name for t in all_terms()]
 
 def _rows(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
+
+
+def test_analytics_report_computes_each_hallmark_once(monkeypatch):
+    # Count calls wherever a tangibility module binds compute_hallmark, as the
+    # benchmark's tracer does.
+    calls = []
+
+    def counted(app):
+        calls.append(app.id)
+        return compute_hallmark(app)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tangibility":
+            for key, value in list(vars(module).items()):
+                if value is compute_hallmark:
+                    monkeypatch.setattr(module, key, counted)
+    golden = load_golden()
+    exact = tuple(
+        dataclasses.replace(
+            app,
+            entities=tuple(
+                dataclasses.replace(e, count=Count(2)) if e.count.is_many else e
+                for e in app.entities
+            ),
+        )
+        for app in golden.applications
+    )
+    for apps, metric in ((golden.applications, Metric.HAMMING), (exact, Metric.L1)):
+        calls.clear()
+        analytics_report(Corpus(apps), metric=metric)
+        assert sorted(calls) == sorted(app.id for app in apps)
 
 
 class TestText:
