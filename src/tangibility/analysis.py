@@ -9,19 +9,12 @@ deterministically ordered so downstream renderings are byte-stable.
 from __future__ import annotations
 
 import enum
-import weakref
 from dataclasses import dataclass
 from operator import sub
 from typing import Union
 
 from .classify import classify
-from .hallmark import (
-    BinaryHallmark,
-    Hallmark,
-    SymbolicCountError,
-    binarize,
-    compute_hallmark,
-)
+from .hallmark import BinaryHallmark, Hallmark, SymbolicCountError, binarize
 from .model import Application, Corpus, Role
 from .terms import TERMS, Term, term_of
 
@@ -129,43 +122,15 @@ def role_distribution(corpus: Corpus) -> dict[Role, RoleShare]:
     }
 
 
-# (weak reference to the latest corpus, its hallmarks in application order)
-_latest: tuple[weakref.ref, tuple[Hallmark, ...]] | None = None
-
-
-def _forget(ref: weakref.ref) -> None:
-    """Drop the hallmarks of a corpus that has been freed."""
-    global _latest
-    if _latest is not None and _latest[0] is ref:
-        _latest = None
-
-
-def _hallmarks(corpus: Corpus) -> tuple[Hallmark, ...]:
-    """Each application's hallmark, in corpus order.
-
-    A corpus is immutable, so the hallmarks of the latest one are kept for
-    the next section that asks: a report computes each hallmark once.  The
-    corpus is matched by identity and held weakly.  The slot is read once,
-    so a concurrent caller never pairs one corpus with another's hallmarks.
-    """
-    global _latest
-    latest = _latest
-    if latest is not None and latest[0]() is corpus:
-        return latest[1]
-    marks = tuple(compute_hallmark(app) for app in corpus.applications)
-    _latest = (weakref.ref(corpus, _forget), marks)
-    return marks
-
-
 def _by_id(corpus: Corpus) -> list[tuple[Application, Hallmark]]:
     """(application, hallmark) pairs in ascending id order."""
-    return sorted(zip(corpus.applications, _hallmarks(corpus)), key=lambda pair: pair[0].id)
+    return sorted(zip(corpus.applications, corpus.hallmarks), key=lambda pair: pair[0].id)
 
 
 def class_distribution(corpus: Corpus) -> dict[str, int]:
     """Applications per class label, including 'unclassified'."""
     distribution = {label: 0 for label in CLASS_LABELS}
-    for mark in _hallmarks(corpus):
+    for mark in corpus.hallmarks:
         distribution[classify(mark).label] += 1
     return distribution
 
@@ -180,7 +145,7 @@ def _clusters(keyed: dict) -> list[Cluster]:
 
 def _group_by_hallmark(corpus: Corpus, binary: bool) -> dict:
     keyed: dict = {}
-    for app, mark in zip(corpus.applications, _hallmarks(corpus)):
+    for app, mark in zip(corpus.applications, corpus.hallmarks):
         key: Union[Hallmark, BinaryHallmark] = binarize(mark) if binary else mark
         keyed.setdefault(key, []).append(app.id)
     return keyed

@@ -26,9 +26,9 @@ half-loaded: `parse_corpus` then returns an empty corpus alongside the
 diagnostics.
 
 Both readers report in input order: each invariant of `model` is checked
-where its value is read, except that the entity-less warning, and in text
-the application name (which comes before the id), wait for the application
-to close.
+where its value is read, except that the entity-less warning, the count
+total, and in text the application name (which comes before the id), wait
+for the application to close.
 
 `serialize_corpus` writes the canonical form shown above: two-space
 indentation, fields in the order id, year, genre, subgenre, refs, entities,
@@ -270,6 +270,7 @@ class _Parser:
             self.check.error(f"{where} has no id", name_token.span)
             return None
         self.check.entity_records(where, entity_blocks, name_token.span)
+        self.check.count_total(where, entities, name_token.span)
         return Application(
             id=app_id,
             name=name,
@@ -505,6 +506,7 @@ class _JsonReader:
         year = node.get("year")
         if year is not None and not is_integer(year):
             self.check.error(f"{ctx}: year must be an integer")
+        self.check.year(ctx, year)
 
         genre = node.get("genre")
         if genre is not None and not isinstance(genre, str):
@@ -535,6 +537,7 @@ class _JsonReader:
         if self.check.errors > errors:
             return None
         self.check.entity_records(ctx, len(entities))
+        self.check.count_total(ctx, entities)
         return Application(
             id=app_id,
             name=name,

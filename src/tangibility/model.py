@@ -9,8 +9,13 @@ and a tangibility (how it is present to the user).
 from __future__ import annotations
 
 import enum
+import sys
 from dataclasses import dataclass
-from typing import ClassVar, Iterator
+from functools import cached_property
+from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
+
+if TYPE_CHECKING:
+    from .hallmark import Hallmark
 
 __all__ = [
     "Role",
@@ -145,6 +150,18 @@ class Corpus:
         """Number of entity records across all applications."""
         return sum(len(app.entities) for app in self.applications)
 
+    @cached_property
+    def hallmarks(self) -> tuple[Hallmark, ...]:
+        """Each application's hallmark, in corpus order, computed once.
+
+        The cache lives in the instance, not in a field, so equality,
+        hashing and ``repr`` ignore it and ``dataclasses.replace`` starts fresh.
+        """
+        # Imported here because hallmark imports this module.
+        from .hallmark import compute_hallmark
+
+        return tuple(map(compute_hallmark, self.applications))
+
 
 class Severity(enum.Enum):
     WARNING = "warning"
@@ -237,6 +254,11 @@ class InvariantChecker:
         if isinstance(value, str) and ("\n" in value or "\r" in value):
             self.error(f"{where}: {field} must not contain a line break")
 
+    def year(self, where: str, year: object) -> None:
+        """Years are not negative: the text format has no minus sign."""
+        if is_integer(year) and year < 0:
+            self.error(f"{where}: year must not be negative")
+
     def count(self, where: str, count: object, span: SourceSpan | None = None) -> None:
         """Exact counts are positive; "many" is not an integer and always is."""
         if is_integer(count) and count < 1:
@@ -246,6 +268,18 @@ class InvariantChecker:
         """An application without entity records loads, with a warning."""
         if records == 0:
             self.warning(f"{where}: no entity records", span)
+
+    def count_total(
+        self, where: str, entities: Iterable[Entity], span: SourceSpan | None = None
+    ) -> None:
+        """An application's exact counts sum to fewer than L digits, where L
+        is Python's int-to-str limit (0: none).  Every term sum, and every L1
+        distance (< 2·10^(L−1)), can then be printed."""
+        total = sum(entity.count.value or 0 for entity in entities)
+        limit = sys.get_int_max_str_digits()
+        # 2^(3(L−1)) < 10^(L−1), so the power is only built for a huge total.
+        if limit and total.bit_length() > 3 * (limit - 1) and total >= 10 ** (limit - 1):
+            self.error(f"{where}: counts must sum to fewer than {limit} digits", span)
 
 
 def validate(corpus: Corpus) -> list[Diagnostic]:
@@ -264,7 +298,9 @@ def validate(corpus: Corpus) -> list[Diagnostic]:
         checker.one_line(where, "subgenre", app.subgenre)
         for index, ref in enumerate(app.refs):
             checker.one_line(where, f"refs[{index}]", ref)
+        checker.year(where, app.year)
         checker.entity_records(where, len(app.entities))
+        checker.count_total(where, app.entities)
         for index, entity in enumerate(app.entities, 1):
             at = f"{where}, entity {index}"
             checker.name(at, entity.name)

@@ -17,6 +17,7 @@ from typing import Any, Iterable, Iterator
 
 from .analysis import (
     CLASS_LABELS,
+    _by_id,
     Cluster,
     CrossTab,
     DistanceMatrix,
@@ -34,7 +35,7 @@ from .analysis import (
     EmptyCorpusError,
 )
 from .classify import ClassResult, classify
-from .hallmark import Hallmark, compute_hallmark
+from .hallmark import Hallmark
 from .model import Corpus, Role
 from .terms import TERMS, Term
 
@@ -321,9 +322,7 @@ class Analytics:
 
 
 def _app_rows(corpus: Corpus) -> tuple[AppRow, ...]:
-    apps = sorted(corpus.applications, key=lambda a: a.id)
-    marks = [compute_hallmark(app) for app in apps]
-    return tuple(AppRow(a.id, a.name, m, classify(m)) for a, m in zip(apps, marks))
+    return tuple(AppRow(a.id, a.name, m, classify(m)) for a, m in _by_id(corpus))
 
 
 def hallmark_table(corpus: Corpus) -> HallmarkTable:

@@ -339,6 +339,127 @@ class TestInputEncoding:
             assert capsys.readouterr() == ("", expected)
 
 
+_LIMIT = sys.get_int_max_str_digits()
+_NINES = "9" * _LIMIT  # one more digit than the largest total that loads
+_UNDER = "9" * (_LIMIT - 1)
+
+
+def _app_text(app_id: int, *counts: tuple[str, str]) -> str:
+    entities = "".join(
+        f'  entity "{how}" {{ what: datum how: {how} count: {n} }}\n' for how, n in counts
+    )
+    return f'application "a{app_id}" {{\n  id: {app_id}\n{entities}}}\n'
+
+
+def _app_json(app_id: int, *counts: tuple[str, str], **fields: object) -> str:
+    """One application as JSON; counts are raw JSON, so any length prints."""
+    head = json.dumps({"id": app_id, "name": f"a{app_id}", **fields})[:-1]
+    entities = ",".join(
+        f'{{"name":"{how}","what":"datum","how":"{how}","count":{n}}}' for how, n in counts
+    )
+    return f'{head}, "entities":[{entities}]}}'
+
+
+def _apps_json(*apps: str) -> str:
+    return '{"applications":[' + ",".join(apps) + "]}"
+
+
+def _line_break(path: tuple) -> str:
+    app = json.loads(_app_json(1, ("tangible", "1"), genre="g", subgenre="s", refs=["r"]))
+    app["entities"][0]["note"] = "n"
+    node = app
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = "x\ny"
+    return json.dumps({"applications": [app]})
+
+
+# name -> (input, validate's exit code, whether analyze --metric l1 refuses
+# a loaded corpus for its "many").
+HOSTILE = {
+    "huge counts, one term, text": (
+        _app_text(1, ("tangible", _NINES), ("tangible", _NINES)),
+        1,
+        False,
+    ),
+    "huge counts, one term, json": (
+        _apps_json(_app_json(1, ("tangible", _NINES), ("tangible", _NINES))),
+        1,
+        False,
+    ),
+    "huge counts, two terms, text": (
+        _app_text(1, ("tangible", _NINES), ("graspable", _NINES))
+        + _app_text(2, ("intangible", "1")),
+        1,
+        False,
+    ),
+    "huge counts, two terms, json": (
+        _apps_json(
+            _app_json(1, ("tangible", _NINES), ("graspable", _NINES)),
+            _app_json(2, ("intangible", "1")),
+        ),
+        1,
+        False,
+    ),
+    # Every term sum prints, and so does the L1 distance of L digits.
+    "counts just under the limit": (
+        _apps_json(_app_json(1, ("tangible", _UNDER)), _app_json(2, ("graspable", _UNDER))),
+        0,
+        False,
+    ),
+    "negative year": (_apps_json(_app_json(1, ("tangible", "1"), year=-5)), 1, False),
+    "year zero and many": (_apps_json(_app_json(1, ("tangible", '"many"'), year=0)), 0, True),
+    "5000-digit id, text": (
+        _app_text(1, ("tangible", "1")).replace("id: 1", "id: " + "1" * 5_000),
+        1,
+        False,
+    ),
+    "5000-digit count, text": (_app_text(1, ("tangible", "1" * 5_000)), 1, False),
+    "5000-digit year, json": (
+        _apps_json(_app_json(1, ("tangible", "1"), year="Y")).replace('"Y"', "1" * 5_000),
+        1,
+        False,
+    ),
+    **{
+        f"line break in {'.'.join(map(str, path))}": (_line_break(path), 1, False)
+        for path in [
+            ("name",),
+            ("genre",),
+            ("subgenre",),
+            ("refs", 0),
+            ("entities", 0, "name"),
+            ("entities", 0, "note"),
+        ]
+    },
+}
+
+COMMANDS = [
+    ["validate"],
+    ["export"],
+    ["export", "--format", "json"],
+    *[[cmd, "--format", f] for cmd in ("classify", "hallmark") for f in ("text", "csv", "json")],
+    *[["cluster", "--format", f, *b] for f in ("text", "csv", "json") for b in ([], ["--binary"])],
+    *[
+        ["analyze", "--format", f, "--metric", metric]
+        for f in ("text", "csv", "json", "dot")
+        for metric in ("hamming", "l1")
+    ],
+]
+
+
+@pytest.mark.parametrize("name", HOSTILE)
+def test_every_command_agrees_with_validate(name, monkeypatch, capsys):
+    text, verdict, l1_refused = HOSTILE[name]
+    exits = {}
+    for argv in COMMANDS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        exits[" ".join(argv)] = main([argv[0], "-", *argv[1:]])  # raising fails the test
+        capsys.readouterr()
+    assert exits["validate"] == verdict
+    expected = {command: 1 if l1_refused and "l1" in command else verdict for command in exits}
+    assert exits == expected
+
+
 def _validate_stdin(text: str) -> subprocess.CompletedProcess:
     """`tangibility validate -` in a fresh interpreter, so a crash shows."""
     src = Path(tangibility.__file__).parent.parent

@@ -338,6 +338,7 @@ class TestJson:
 
 ENTITY = 'entity "e" { what: datum how: tangible }'
 ENTITY_JSON = {"name": "e", "what": "datum", "how": "tangible"}
+_LIMIT = sys.get_int_max_str_digits()
 
 
 def _json(*apps):
@@ -396,6 +397,17 @@ INVARIANTS = {
         Diagnostic.warning("application 1: no entity records", SourceSpan(1, 13)),
         Diagnostic.warning("applications[0]: no entity records"),
     ),
+    # Exactly L digits, L being the int-to-str limit: the largest total that
+    # is refused, so every term sum and L1 distance can be printed.
+    "count total under L digits": (
+        f'application "a" {{\n  id: 1\n  entity "e" {{ what: datum how: tangible '
+        f"count: {10 ** (_LIMIT - 1)} }}\n}}",
+        _json({"id": 1, "name": "a", "entities": [dict(ENTITY_JSON, count=10 ** (_LIMIT - 1))]}),
+        Diagnostic.error(
+            f"application 1: counts must sum to fewer than {_LIMIT} digits", SourceSpan(1, 13)
+        ),
+        Diagnostic.error(f"applications[0]: counts must sum to fewer than {_LIMIT} digits"),
+    ),
 }
 
 
@@ -420,6 +432,41 @@ class TestInvariants:
             Corpus(),
             [Diagnostic.error("applications[0].entities[0]: count must be positive")],
         )
+
+    def test_json_negative_year_is_a_diagnostic(self):
+        text = _json({"id": 1, "name": "a", "year": -5, "entities": [ENTITY_JSON]})
+        assert import_json(text) == (
+            Corpus(),
+            [Diagnostic.error("applications[0]: year must not be negative")],
+        )
+        corpus, diagnostics = import_json(text.replace("-5", "0"))
+        assert (corpus.application(1).year, diagnostics) == (0, [])
+
+    def test_count_total_sums_every_exact_entity(self):
+        half = 10 ** (_LIMIT - 1) // 2  # two of these make L digits
+        refused = [f"applications[0]: counts must sum to fewer than {_LIMIT} digits"]
+        for how in ("tangible", "graspable"):  # one term, then two
+            for second, expected in ((half, refused), (half - 1, [])):
+                entities = [
+                    dict(ENTITY_JSON, count=half),
+                    dict(ENTITY_JSON, how=how, count=second),
+                    dict(ENTITY_JSON, count="many"),
+                ]
+                _, diagnostics = import_json(_json({"id": 1, "name": "a", "entities": entities}))
+                assert [d.message for d in diagnostics] == expected
+
+    def test_count_total_reads_the_limit_at_check_time(self):
+        text = _json({"id": 1, "name": "a", "entities": [dict(ENTITY_JSON, count=10**700)]})
+        assert import_json(text)[1] == []
+        sys.set_int_max_str_digits(701)
+        try:
+            assert [d.message for d in import_json(text)[1]] == [
+                "applications[0]: counts must sum to fewer than 701 digits"
+            ]
+            sys.set_int_max_str_digits(0)  # no limit
+            assert import_json(text)[1] == []
+        finally:
+            sys.set_int_max_str_digits(_LIMIT)
 
     def test_json_mistyped_fields_keep_the_other_checks(self):
         text = _json(
@@ -568,6 +615,41 @@ def _corpus_texts(draw):
 @settings(max_examples=300)
 def test_accepted_text_round_trips(text):
     corpus, diagnostics = parse_corpus(text)
+    if any(d.is_error for d in diagnostics):
+        return
+    reparsed, diagnostics = parse_corpus(serialize_corpus(corpus))
+    assert _errors(diagnostics) == []
+    assert reparsed == corpus
+
+
+_INTEGERS = st.one_of(st.integers(), st.integers(-2, 2))
+_JSON_ENTITIES = st.fixed_dictionaries(
+    {
+        "name": st.text(min_size=1, max_size=4),
+        "what": st.sampled_from(["datum", "tool", "operation", "constraint"]),
+        "how": st.sampled_from(["tangible", "graspable", "intangible"]),
+    },
+    optional={
+        "count": st.one_of(_INTEGERS, st.just("many")),
+        "note": st.text(max_size=4),
+    },
+)
+_JSON_APPLICATIONS = st.fixed_dictionaries(
+    {"id": _INTEGERS, "name": st.text(max_size=4)},
+    optional={
+        "year": _INTEGERS,
+        "genre": st.text(max_size=4),
+        "subgenre": st.text(max_size=4),
+        "refs": st.lists(st.text(max_size=4), max_size=2),
+        "entities": st.lists(_JSON_ENTITIES, max_size=3),
+    },
+)
+
+
+@given(st.lists(_JSON_APPLICATIONS, max_size=3))
+@settings(max_examples=300)
+def test_loaded_json_round_trips_through_text(apps):
+    corpus, diagnostics = import_json(_json(*apps))
     if any(d.is_error for d in diagnostics):
         return
     reparsed, diagnostics = parse_corpus(serialize_corpus(corpus))

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from tangibility import (
     Tangibility,
     validate,
 )
+from tangibility import hallmark
 
 counts = st.one_of(st.integers(0, 30).map(Count), st.just(Count.MANY))
 
@@ -110,6 +114,22 @@ class TestValidate:
             "application 1, entity 1: note must not contain a line break",
         ]
 
+    def test_year_must_not_be_negative(self):
+        corpus = Corpus((dataclasses.replace(_app(1, "A"), year=-1), _app(2, "B")))
+        assert [f.message for f in validate(corpus)] == [
+            "application 1: year must not be negative"
+        ]
+        assert validate(Corpus((dataclasses.replace(_app(), year=0),))) == []
+
+    def test_counts_sum_to_fewer_than_the_int_to_str_limit(self):
+        limit = sys.get_int_max_str_digits()
+        half = 10 ** (limit - 1) // 2  # two of these make L digits
+        refused = _app(1, "A", entities=[_entity(count=Count(half))] * 2)
+        accepted = _app(2, "B", entities=[_entity(count=Count(n)) for n in (half, half - 1)])
+        assert [f.message for f in validate(Corpus((refused, accepted)))] == [
+            f"application 1: counts must sum to fewer than {limit} digits"
+        ]
+
     def test_id_must_be_positive(self):
         findings = validate(Corpus((_app(0),)))
         assert any("id must be positive" in f.message for f in findings)
@@ -150,3 +170,41 @@ class TestValidate:
     def test_idempotent(self):
         corpus = Corpus((_app(1, "A"), _app(1, "A")))
         assert validate(corpus) == validate(corpus)
+
+
+class TestHallmarks:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        compute = hallmark.compute_hallmark
+
+        def counted(app):
+            calls.append(app.id)
+            return compute(app)
+
+        monkeypatch.setattr(hallmark, "compute_hallmark", counted)
+        return calls
+
+    def test_computed_once_per_corpus(self, calls):
+        a = Corpus((_app(1, "A"), _app(2, "B")))
+        b = Corpus((_app(3, "C"),))
+        for _ in range(3):
+            assert len(a.hallmarks) == 2 and len(b.hallmarks) == 1
+        assert calls == [1, 2, 3]
+        assert a.hallmarks[0].components[0] == Count(1)
+
+    def test_replace_starts_fresh(self, calls):
+        a = Corpus((_app(1, "A"),))
+        a.hallmarks
+        entities = [_entity(count=Count(4))]
+        b = dataclasses.replace(a, applications=(_app(1, "A", entities=entities),))
+        assert b.hallmarks[0].components[0] == Count(4)
+        assert calls == [1, 1]
+
+    def test_cache_is_not_a_field(self):
+        cached = Corpus((_app(1, "A"), _app(2, "B")))
+        cached.hallmarks
+        fresh = Corpus((_app(1, "A"), _app(2, "B")))
+        assert cached == fresh
+        assert hash(cached) == hash(fresh)
+        assert repr(cached) == repr(fresh)

@@ -74,6 +74,17 @@ def test_analytics_report_computes_each_hallmark_once(monkeypatch):
         analytics_report(Corpus(apps), metric=metric)
         assert sorted(calls) == sorted(app.id for app in apps)
 
+    # Every report built from one corpus shares its hallmarks.
+    calls.clear()
+    corpus = Corpus(exact)
+    hallmark_table(corpus)
+    class_table(corpus)
+    clusters_report(corpus)
+    clusters_report(corpus, binary=True)
+    for metric in (Metric.HAMMING, Metric.L1):
+        analytics_report(corpus, metric=metric)
+    assert sorted(calls) == sorted(app.id for app in exact)
+
 
 class TestText:
     def test_hallmark_table_golden(self):
