@@ -4,14 +4,28 @@ Coverage and the role distribution count entity records, ignoring
 multiplicity: a record counted "many" is still one record.  Hallmark-level
 views (clusters, distances) sum multiplicities instead.  All outputs are
 deterministically ordered so downstream renderings are byte-stable.
+
+The distance matrix is computed one distinct key at a time, in CPython's
+byte loops rather than per cell.  Each key component is one ``bytes``
+column across the applications; ``bytes.translate`` through a 256-byte
+table turns a column into that component's distances to the key, and the
+columns, read as big ints, add lane by lane into the key's row.  Hamming
+keys are the mask in two 1-byte lanes (low 8 bits, high 4; a lane sums to
+at most 12).  L1 keys are the twelve components in 2-byte lanes (the
+value, then a pad byte of 255 that the table maps to 0; a lane sums to at
+most 12 * 254), so they need every component below 255; otherwise the
+matrix is summed pair by pair.  Applications with equal keys share one row.
 """
 
 from __future__ import annotations
 
 import enum
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache
 from operator import sub
-from typing import Union
+from typing import Callable, Union
 
 from .classify import classify
 from .hallmark import BinaryHallmark, Hallmark, SymbolicCountError, binarize
@@ -43,6 +57,9 @@ CLASS_LABELS = ("I", "II", "III", "IV", "unclassified")
 
 NONE_LABEL = "(none)"
 
+# The pad byte of an L1 lane, so the L1 kernel needs every component below it.
+_PAD = 255
+
 
 class EmptyCorpusError(ValueError):
     """Raised by statistics that are undefined without entity records."""
@@ -69,6 +86,8 @@ class Cluster:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
+    """Rows in id order; applications with equal keys share one row tuple."""
+
     metric: Metric
     ids: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -184,11 +203,48 @@ def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
                     f"symbolic count 'many' in application {app.id}; "
                     "L1 distance is undefined"
                 )
-        rows = _l1_rows([tuple(c.value for c in mark.components) for _, mark in pairs])
+        vectors = [tuple(c.value for c in mark.components) for _, mark in pairs]
+        if max(map(max, vectors), default=0) < _PAD:
+            # A lane: the value in its low byte, the pad (mapped to 0) in its high one.
+            lanes = [array("H", [_PAD << 8 | x for x in c]).tobytes() for c in zip(*vectors)]
+            rows = _lane_rows(vectors, lanes, _abs_diff_table, "H")
+        else:
+            rows = _l1_rows(vectors)
     else:
-        masks = [mark.mask for _, mark in pairs]
-        rows = tuple(tuple(map(int.bit_count, map(a.__xor__, masks))) for a in masks)
+        halves = [(mark.mask & 0xFF, mark.mask >> 8) for _, mark in pairs]
+        lanes = [bytes(c) for c in zip(*halves)]
+        rows = _lane_rows(halves, lanes, _xor_popcount_table, "B")
     return DistanceMatrix(metric, tuple(app.id for app, _ in pairs), rows)
+
+
+@cache
+def _xor_popcount_table(v: int) -> bytes:
+    """Maps byte x to the number of bits in which x and v differ."""
+    return bytes((x ^ v).bit_count() for x in range(256))
+
+
+@cache
+def _abs_diff_table(v: int) -> bytes:
+    """Maps byte x to |x − v|, and the pad byte to 0."""
+    return bytes(abs(x - v) for x in range(_PAD)) + b"\0"
+
+
+def _lane_rows(
+    keys: list[tuple[int, ...]], columns: list[bytes], table: Callable[[int], bytes], lane: str
+) -> tuple[tuple[int, ...], ...]:
+    """Distance rows as lane sums (see the module docstring), one row tuple
+    per distinct key.  Column c holds one ``lane`` (an ``array`` type code,
+    native byte order) per application, whose low byte is component c of
+    its key; no lane's sum may outgrow the lane."""
+    order = sys.byteorder
+    size = len(columns[0]) if columns else 0
+    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for key in dict.fromkeys(keys):
+        total = 0
+        for column, value in zip(columns, key):
+            total += int.from_bytes(column.translate(table(value)), order)
+        rows[key] = tuple(array(lane, total.to_bytes(size, order)).tolist())
+    return tuple(map(rows.__getitem__, keys))
 
 
 def _l1_rows(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

@@ -1,8 +1,9 @@
 """Command-line interface.
 
 One corpus in, one report out.  Input is a file path, "-" for stdin, or
---golden for the bundled reference corpus.  One leading byte order mark
-is dropped; then text starting with "{" is read as the JSON interchange
+--golden for the bundled reference corpus.  Input must be UTF-8 (a byte
+that is not is an error at its line and column).  One leading byte order
+mark is dropped; then text starting with "{" is read as the JSON interchange
 form, anything else as the annotation format.
 
 Exit codes: 0 success, 1 corpus errors (diagnostics go to stderr as
@@ -19,7 +20,7 @@ from .analysis import Metric
 from .dsl import export_json, import_json, parse_corpus, serialize_corpus
 from .golden import load_golden
 from .hallmark import SymbolicCountError
-from .model import Corpus, Diagnostic
+from .model import Corpus, Diagnostic, SourceSpan, first_surrogate
 from .reporting import (
     analytics_report,
     class_table,
@@ -128,19 +129,29 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
     if args.golden:
         return load_golden(), "<golden>"
 
+    # Bytes that are not UTF-8 are read as lone surrogates, then refused.
     if args.input == "-":
         label = "<stdin>"
-        text = sys.stdin.read()
+        stream = getattr(sys.stdin, "buffer", None)
+        if stream is None:  # a text-only stream, such as io.StringIO
+            text = sys.stdin.read()
+        else:
+            text = stream.read().decode("utf-8", "surrogateescape")
     else:
         label = args.input
         try:
-            with open(args.input, "r", encoding="utf-8") as handle:
+            with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
                 text = handle.read()
         except OSError as exc:
             print(f"{label}: error: {exc.strerror or exc}", file=sys.stderr)
             return None, label
 
     text = text.removeprefix("\ufeff")  # a byte order mark is not content
+    bad = first_surrogate(text)
+    if bad is not None:
+        span = SourceSpan(text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad))
+        _print_diagnostics([Diagnostic.error("input is not valid UTF-8", span)], label, sys.stderr)
+        return None, label
     reader = import_json if text.lstrip().startswith("{") else parse_corpus
     corpus, diagnostics = reader(text)
     _print_diagnostics(diagnostics, label, sys.stderr)

@@ -36,6 +36,18 @@ def is_integer(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def first_surrogate(text: str) -> int | None:
+    """The index of the first lone surrogate in ``text``, or None.  A byte
+    that is not UTF-8, decoded with "surrogateescape", is one."""
+    if text.isascii():
+        return None
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        return exc.start
+    return None
+
+
 class Role(enum.Enum):
     """What an entity is within the interaction."""
 
@@ -250,9 +262,13 @@ class InvariantChecker:
 
     def one_line(self, where: str, field: str, value: object) -> None:
         """Strings hold no line break ("\\n" or "\\r"): the text format cannot
-        write one."""
-        if isinstance(value, str) and ("\n" in value or "\r" in value):
+        write one.  Nor a lone surrogate, which no UTF-8 output can hold."""
+        if not isinstance(value, str):
+            return
+        if "\n" in value or "\r" in value:
             self.error(f"{where}: {field} must not contain a line break")
+        if first_surrogate(value) is not None:
+            self.error(f"{where}: {field} must not contain a lone surrogate")
 
     def year(self, where: str, year: object) -> None:
         """Years are not negative: the text format has no minus sign."""

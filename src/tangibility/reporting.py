@@ -81,18 +81,32 @@ def _table_lines(
     return lines
 
 
+class _Padded(dict):
+    """Values' decimal strings right-aligned to ``width``, each made once."""
+
+    def __init__(self, width: int) -> None:
+        super().__init__()
+        self.width = width
+
+    def __missing__(self, value: int) -> str:
+        self[value] = cell = str(value).rjust(self.width)
+        return cell
+
+
 def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     """The matrix as an indented right-aligned table, formatted line by line.
 
     A distance matrix is symmetric, so column j is as wide as id j or the
-    largest value of row j, and no cell string outlives its line.
+    largest value of row j.  Columns of one width share one cell lookup.
     """
     ids = [str(i) for i in matrix.ids]
     widths = [max(len(i), len(str(max(row)))) for i, row in zip(ids, matrix.rows)]
+    padded = {width: _Padded(width) for width in set(widths)}
+    columns = [padded[width] for width in widths]
     first = max([2, *map(len, ids)])
     yield "  " + "  ".join(["id".rjust(first), *map(str.rjust, ids, widths)])
     for i, row in zip(ids, matrix.rows):
-        yield "  " + "  ".join([i.rjust(first), *map(str.rjust, map(str, row), widths)])
+        yield "  " + "  ".join([i.rjust(first), *map(dict.__getitem__, columns, row)])
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -348,6 +362,11 @@ def clusters_report(corpus: Corpus, binary: bool = False) -> Clusters:
 def analytics_report(
     corpus: Corpus, key: str = "genre", metric: Metric = Metric.HAMMING
 ) -> Analytics:
+    # Every section reads the hallmarks, so they are computed outside any one
+    # section's time.  The matrix comes first: L1 refuses a "many" before any
+    # other section is built.
+    corpus.hallmarks
+    matrix = distance_matrix(corpus, metric)
     try:
         roles: dict[Role, RoleShare] | None = role_distribution(corpus)
     except EmptyCorpusError:
@@ -361,7 +380,7 @@ def analytics_report(
         clusters=clusters_report(corpus),
         binary_clusters=clusters_report(corpus, binary=True),
         crosstab=cross_tab(corpus, key),
-        matrix=distance_matrix(corpus, metric),
+        matrix=matrix,
     )
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from corpusgen import random_corpus
 from tangibility import (
     Application,
+    all_terms,
     Corpus,
     Count,
     Entity,
@@ -31,6 +32,8 @@ from tangibility import (
     role_distribution,
     term_coverage,
 )
+from tangibility import analysis
+from tangibility.hallmark import binarize, hamming_distance, l1_distance
 
 GOLDEN_COVERAGE = {
     "datible": 14,
@@ -55,6 +58,29 @@ def _app(app_id, *terms, name=None, counts=None):
         for i, (t, c) in enumerate(zip(terms, counts))
     )
     return Application(id=app_id, name=name or f"app {app_id}", entities=entities)
+
+
+def _vector_app(app_id, vector):
+    """An application whose hallmark is ``vector``: one entity per positive term."""
+    entities = tuple(
+        Entity(f"e{i}", term.role, term.tangibility, Count(n))
+        for i, (term, n) in enumerate(zip(all_terms(), vector))
+        if n
+    )
+    return Application(id=app_id, name=f"app {app_id}", entities=entities)
+
+
+def _assert_cells(corpus, matrix, indices=None):
+    """Rows ``indices`` (default all) equal the per-cell distance functions."""
+    marks = {app.id: mark for app, mark in zip(corpus.applications, corpus.hallmarks)}
+    if matrix.metric is Metric.HAMMING:
+        keys = [binarize(marks[i]) for i in matrix.ids]
+        distance = hamming_distance
+    else:
+        keys = [marks[i] for i in matrix.ids]
+        distance = l1_distance
+    for i in range(len(keys)) if indices is None else indices:
+        assert matrix.rows[i] == tuple(distance(keys[i], b) for b in keys)
 
 
 class TestCoverage:
@@ -241,6 +267,88 @@ class TestDistanceMatrix:
             for j in range(size):
                 assert matrix.rows[i][j] == matrix.rows[j][i]
                 assert 0 <= matrix.rows[i][j] <= 12
+
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(Metric))
+    @settings(max_examples=150)
+    def test_matches_the_per_cell_distances(self, seed, metric):
+        corpus = random_corpus(random.Random(seed), max_apps=12)
+        if metric is Metric.L1 and any(mark.has_many for mark in corpus.hallmarks):
+            with pytest.raises(SymbolicCountError):
+                distance_matrix(corpus, metric)
+            return
+        matrix = distance_matrix(corpus, metric)
+        assert matrix.ids == tuple(sorted(app.id for app in corpus.applications))
+        _assert_cells(corpus, matrix)
+
+    # Small values repeat keys; 250-260 straddles the lanes' 255 limit.
+    @given(
+        st.lists(
+            st.lists(st.integers(0, 3) | st.integers(250, 260), min_size=12, max_size=12),
+            max_size=10,
+        )
+    )
+    @settings(max_examples=100)
+    def test_l1_matches_on_any_exact_components(self, vectors):
+        corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
+        _assert_cells(corpus, distance_matrix(corpus, Metric.L1))
+
+    def test_every_mask(self):
+        corpus = Corpus(
+            tuple(_vector_app(m + 1, [m >> i & 1 for i in range(12)]) for m in range(4096))
+        )
+        matrix = distance_matrix(corpus, Metric.HAMMING)
+        assert matrix.ids == tuple(range(1, 4097))
+        assert len(matrix.rows) == 4096
+        _assert_cells(corpus, matrix, random.Random(4096).sample(range(4096), 48))
+
+    @pytest.fixture
+    def fallback(self, monkeypatch):
+        """Records each use of the pair-by-pair L1 rows."""
+        calls = []
+        rows = analysis._l1_rows
+
+        def counted(vectors):
+            calls.append(len(vectors))
+            return rows(vectors)
+
+        monkeypatch.setattr(analysis, "_l1_rows", counted)
+        return calls
+
+    def test_l1_lanes_hold_components_of_254(self, fallback):
+        vectors = [[254] * 12, [0] * 12, [254, 0] * 6, [0, 254] * 6, [253, 1] * 6]
+        corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
+        matrix = distance_matrix(corpus, Metric.L1)
+        assert matrix.rows[0][1] == 12 * 254
+        _assert_cells(corpus, matrix)
+        assert fallback == []
+
+    @pytest.mark.parametrize(
+        "big", [255, 10**3999 + 7], ids=["255", "4000 digits"]
+    )
+    def test_l1_falls_back_on_larger_components(self, fallback, big):
+        vectors = [[big] + [0] * 11, [0] * 12, [1] * 12, [big, 254] * 6]
+        corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
+        matrix = distance_matrix(corpus, Metric.L1)
+        assert matrix.rows[0][1] == big
+        _assert_cells(corpus, matrix)
+        assert fallback == [4]
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_no_and_one_application(self, metric):
+        empty = distance_matrix(Corpus(), metric)
+        assert (empty.ids, empty.rows) == ((), ())
+        one = distance_matrix(Corpus((_app(7, "datible"),)), metric)
+        assert (one.ids, one.rows) == ((7,), ((0,),))
+
+    def test_equal_keys_share_one_row(self):
+        vectors = [[2, 1] + [0] * 10, [1, 2] + [0] * 10, [2, 1] + [0] * 10]
+        corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
+        hamming = distance_matrix(corpus, Metric.HAMMING)
+        assert hamming.rows[0] is hamming.rows[1] is hamming.rows[2]
+        l1 = distance_matrix(corpus, Metric.L1)
+        assert l1.rows[0] is l1.rows[2]
+        assert l1.rows[0] is not l1.rows[1]
+        assert l1.rows == ((0, 2, 0), (2, 0, 2), (0, 2, 0))
 
 
 class TestCrossTab:

@@ -338,6 +338,41 @@ class TestInputEncoding:
             expected = f"<stdin>: error: {where} must not contain a line break\n"
             assert capsys.readouterr() == ("", expected)
 
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    def test_lone_surrogate_in_json_is_a_diagnostic(self, command):
+        text = _with_string(("name",), "\ud800")
+        result = _run([command, "-"], text.encode("ascii"))
+        assert (result.returncode, result.stdout) == (1, b"")
+        assert result.stderr == (
+            b"<stdin>: error: applications[0]: name must not contain a lone surrogate\n"
+        )
+
+    @pytest.mark.parametrize("command", ["validate", "classify"])
+    @pytest.mark.parametrize("locale", [None, "C"], ids=["default locale", "C locale"])
+    @pytest.mark.parametrize("source", ["file", "stdin"])
+    def test_bytes_that_are_not_utf8_are_a_diagnostic(
+        self, command, locale, source, tmp_path
+    ):
+        # \xff is never UTF-8; \xed\xa0\x80 would encode the surrogate U+D800.
+        for data in (b"\xff", b"\xed\xa0\x80", b"\xc3"):
+            corpus = GOOD.encode().replace(b'"thing"', b'"thing' + data + b'"')
+            if source == "file":
+                path = tmp_path / "input.corpus"
+                path.write_bytes(b"\xef\xbb\xbf" + corpus)  # after a byte order mark
+                result = _run([command, str(path)], b"", locale)
+                label = str(path).encode()
+            else:
+                result = _run([command, "-"], b"\xef\xbb\xbf" + corpus, locale)
+                label = b"<stdin>"
+            assert (result.returncode, result.stdout) == (1, b"")
+            assert result.stderr == label + b":5:16: error: input is not valid UTF-8\n"
+
+    def test_utf8_beyond_ascii_still_loads(self):
+        text = GOOD.replace('"thing"', '"thing \u00e9\u00d7\U0001f600"')
+        result = _run(["export", "-"], text.encode(), "C")
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert '"thing \u00e9\u00d7\U0001f600"'.encode() in result.stdout
+
 
 _LIMIT = sys.get_int_max_str_digits()
 _NINES = "9" * _LIMIT  # one more digit than the largest total that loads
@@ -364,13 +399,25 @@ def _apps_json(*apps: str) -> str:
     return '{"applications":[' + ",".join(apps) + "]}"
 
 
-def _line_break(path: tuple) -> str:
+_STRING_FIELDS = [
+    ("name",),
+    ("genre",),
+    ("subgenre",),
+    ("refs", 0),
+    ("entities", 0, "name"),
+    ("entities", 0, "note"),
+]
+
+
+def _with_string(path: tuple, value: str) -> str:
+    """JSON of one application whose string field at ``path`` is ``value``;
+    a lone surrogate is written as a JSON escape."""
     app = json.loads(_app_json(1, ("tangible", "1"), genre="g", subgenre="s", refs=["r"]))
     app["entities"][0]["note"] = "n"
     node = app
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = "x\ny"
+    node[path[-1]] = value
     return json.dumps({"applications": [app]})
 
 
@@ -421,15 +468,16 @@ HOSTILE = {
         False,
     ),
     **{
-        f"line break in {'.'.join(map(str, path))}": (_line_break(path), 1, False)
-        for path in [
-            ("name",),
-            ("genre",),
-            ("subgenre",),
-            ("refs", 0),
-            ("entities", 0, "name"),
-            ("entities", 0, "note"),
-        ]
+        f"line break in {'.'.join(map(str, path))}": (_with_string(path, "x\ny"), 1, False)
+        for path in _STRING_FIELDS
+    },
+    **{
+        f"lone surrogate in {'.'.join(map(str, path))}": (
+            _with_string(path, "x\ud800y"),
+            1,
+            False,
+        )
+        for path in _STRING_FIELDS
     },
 }
 
@@ -469,4 +517,19 @@ def _validate_stdin(text: str) -> subprocess.CompletedProcess:
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(src)},
+    )
+
+
+def _run(argv: list[str], data: bytes, locale: str | None = None) -> subprocess.CompletedProcess:
+    """`tangibility <argv>` in a fresh interpreter on raw stdin bytes, under
+    ``locale`` (LC_ALL) when given."""
+    src = Path(tangibility.__file__).parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    if locale is not None:
+        env["LC_ALL"] = locale
+    return subprocess.run(
+        [sys.executable, "-m", "tangibility.cli", *argv],
+        input=data,
+        capture_output=True,
+        env=env,
     )

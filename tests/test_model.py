@@ -114,6 +114,22 @@ class TestValidate:
             "application 1, entity 1: note must not contain a line break",
         ]
 
+    def test_lone_surrogates_in_written_strings(self):
+        app = Application(
+            id=1,
+            name="a\ud800",
+            genre="g\udcff",
+            subgenre="\U0001f600",  # a character beyond the BMP is not a surrogate
+            refs=("r", "\udfffs"),
+            entities=(Entity("e", Role.DATUM, Tangibility.TANGIBLE, note="n\udbff"),),
+        )
+        assert [f.message for f in validate(Corpus((app,)))] == [
+            "application 1: name must not contain a lone surrogate",
+            "application 1: genre must not contain a lone surrogate",
+            "application 1: refs[1] must not contain a lone surrogate",
+            "application 1, entity 1: note must not contain a lone surrogate",
+        ]
+
     def test_year_must_not_be_negative(self):
         corpus = Corpus((dataclasses.replace(_app(1, "A"), year=-1), _app(2, "B")))
         assert [f.message for f in validate(corpus)] == [

@@ -17,11 +17,13 @@ from tangibility import (
     Count,
     Entity,
     Metric,
+    SymbolicCountError,
     all_terms,
     compute_hallmark,
     load_golden,
     parse_term,
 )
+from tangibility import reporting
 from tangibility.reporting import (
     Clusters,
     Coverage,
@@ -84,6 +86,25 @@ def test_analytics_report_computes_each_hallmark_once(monkeypatch):
     for metric in (Metric.HAMMING, Metric.L1):
         analytics_report(corpus, metric=metric)
     assert sorted(calls) == sorted(app.id for app in exact)
+
+
+def test_l1_refuses_many_before_building_other_sections(monkeypatch):
+    def built(*args, **kwargs):
+        raise AssertionError("a section was built before the refusal")
+
+    for name in (
+        "term_coverage",
+        "role_distribution",
+        "class_distribution",
+        "cluster_by_hallmark",
+        "cluster_by_binary_hallmark",
+        "distinct_hallmark_count",
+        "distinct_binary_hallmark_count",
+        "cross_tab",
+    ):
+        monkeypatch.setattr(reporting, name, built)
+    with pytest.raises(SymbolicCountError, match="application 9"):
+        analytics_report(load_golden(), metric=Metric.L1)
 
 
 class TestText:
@@ -163,6 +184,38 @@ class TestText:
         assert "cross-tab by genre:" in text
         assert "distance matrix (hamming):" in text
         assert "datum" in text and "43%" in text
+
+    def test_matrix_cells_padded_to_their_column(self):
+        # Values of one to seven digits, ids of one to four, on both L1 paths.
+        for big in (254, 10**6):
+            vectors = [(0,) * 12, (9,) + (0,) * 11, (big,) * 12, (1, 2) * 6, (big // 10,) * 12]
+            apps = tuple(
+                Application(
+                    id=app_id,
+                    name=f"a{app_id}",
+                    entities=tuple(
+                        Entity(f"e{i}", term.role, term.tangibility, Count(n))
+                        for i, (term, n) in enumerate(zip(all_terms(), vector))
+                        if n
+                    ),
+                )
+                for app_id, vector in zip((1000, 5, 42, 7, 3), vectors)
+            )
+            report = analytics_report(Corpus(apps), metric=Metric.L1)
+            matrix = report.matrix
+            ids = [str(i) for i in matrix.ids]
+            widths = [
+                max(len(i), *(len(str(row[j])) for row in matrix.rows))
+                for j, i in enumerate(ids)
+            ]
+            first = max(2, *map(len, ids))
+            expected = [
+                "  " + "  ".join(cell.rjust(w) for cell, w in zip([key, *cells], [first, *widths]))
+                for key, cells in [("id", ids)]
+                + [(i, [str(v) for v in row]) for i, row in zip(ids, matrix.rows)]
+            ]
+            text = render_text(report)
+            assert text.split("distance matrix (l1):\n")[1].splitlines() == expected
 
     def test_analytics_empty_corpus(self):
         text = render_text(analytics_report(Corpus()))
