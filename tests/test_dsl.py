@@ -483,6 +483,242 @@ class TestInvariants:
         ]
 
 
+def _app(**fields):
+    """One JSON application, the entity ENTITY_JSON unless ``entities`` is given."""
+    return _json({"id": 1, "name": "a", "entities": [ENTITY_JSON], **fields})
+
+
+def _entity(**fields):
+    """One JSON application holding one entity, ENTITY_JSON with ``fields``."""
+    return _json({"id": 1, "name": "a", "entities": [{**ENTITY_JSON, **fields}]})
+
+
+E, W = Diagnostic.error, Diagnostic.warning
+
+# Every reader diagnostic, with its span and in its order: (reader, input,
+# the full list of findings).  Each row is a diagnostic no other test reads;
+# the "order" rows put many faults in one input.
+READER_DIAGNOSTICS = {
+    "text: a field or 'entity'": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  "x"\n}',
+        [E("expected a field or 'entity', found string '\"x\"'", SourceSpan(3, 3))],
+    ),
+    "text: an entity field": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" { 5 }\n}',
+        [E("expected an entity field, found integer '5'", SourceSpan(3, 16))],
+    ),
+    "text: duplicate entity key": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" { what: tool what: datum how: tangible }\n}',
+        [W("duplicate key 'what'", SourceSpan(3, 27))],
+    ),
+    "text: count neither an integer nor many": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" { what: datum how: tangible count: few }\n}',
+        [
+            E(
+                "expected an integer or 'many' as the count, found identifier 'few'",
+                SourceSpan(3, 49),
+            )
+        ],
+    ),
+    "text: a string count": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" { count: "2" }\n}',
+        [
+            E(
+                "expected an integer or 'many' as the count, found string '\"2\"'",
+                SourceSpan(3, 23),
+            )
+        ],
+    ),
+    "text: a value": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  extra: {\n}',
+        [E("expected a value, found '{'", SourceSpan(3, 10))],
+    ),
+    "text: order": (
+        parse_corpus,
+        'application "a" {\n'
+        "  id: 0\n"
+        "  tags: [1, x]\n"
+        "  id: 2\n"
+        '  entity "" { what: gizmo what: datum how: nope count: 0 entity: 3 }\n'
+        '  entity "f" { count: 2 }\n'
+        "}",
+        [
+            E("application 0: id must be positive", SourceSpan(2, 7)),
+            W("unknown key 'tags'", SourceSpan(3, 3)),
+            W("duplicate key 'id'", SourceSpan(4, 3)),
+            E("entity '': name must be non-empty", SourceSpan(5, 10)),
+            E("unknown role 'gizmo'", SourceSpan(5, 21)),
+            W("duplicate key 'what'", SourceSpan(5, 27)),
+            E("unknown tangibility 'nope'", SourceSpan(5, 44)),
+            E("entity '': count must be positive", SourceSpan(5, 56)),
+            W("unknown key 'entity'", SourceSpan(5, 58)),
+            E("entity 'f' is missing 'what'", SourceSpan(6, 10)),
+            E("entity 'f' is missing 'how'", SourceSpan(6, 10)),
+        ],
+    ),
+    "json: applications not an array": (
+        import_json,
+        '{"x": 1, "applications": {}}',
+        [W("unknown key 'x' at top level"), E("'applications' must be an array")],
+    ),
+    "json: application not an object": (
+        import_json,
+        _json("a", 2),
+        [E("applications[0]: must be an object"), E("applications[1]: must be an object")],
+    ),
+    "json: entity not an object": (
+        import_json,
+        _app(entities=[ENTITY_JSON, ["e"]]),
+        [E("applications[0].entities[1]: must be an object")],
+    ),
+    "json: unknown keys": (
+        import_json,
+        _json({"id": 1, "x": 1, "name": "a", "entities": [{**ENTITY_JSON, "y": 2}]}),
+        [
+            W("applications[0]: unknown key 'x'"),
+            W("applications[0].entities[0]: unknown key 'y'"),
+        ],
+    ),
+    "json: year not an integer": (
+        import_json,
+        _app(year="1998"),
+        [E("applications[0]: year must be an integer")],
+    ),
+    "json: year true": (
+        import_json,
+        _app(year=True),
+        [E("applications[0]: year must be an integer")],
+    ),
+    "json: genre not a string": (
+        import_json,
+        _app(genre=5),
+        [E("applications[0]: genre must be a string")],
+    ),
+    "json: subgenre not a string": (
+        import_json,
+        _app(subgenre=["s"]),
+        [E("applications[0]: subgenre must be a string")],
+    ),
+    "json: note not a string": (
+        import_json,
+        _entity(note=1.5),
+        [E("applications[0].entities[0]: note must be a string")],
+    ),
+    "json: null optional fields": (
+        import_json,
+        _json(
+            {
+                "id": 1,
+                "name": "a",
+                "year": None,
+                "genre": None,
+                "subgenre": None,
+                "entities": [{**ENTITY_JSON, "note": None}],
+            }
+        ),
+        [],
+    ),
+    "json: entities not an array": (
+        import_json,
+        _app(entities={"name": "e"}),
+        [E("applications[0]: entities must be an array")],
+    ),
+    "json: unknown tangibility": (
+        import_json,
+        _entity(how="nope"),
+        [E("applications[0].entities[0]: unknown tangibility 'nope'")],
+    ),
+    "json: tangibility not a string": (
+        import_json,
+        _entity(how=["tangible"], what=None),
+        [
+            E("applications[0].entities[0]: unknown role None"),
+            E("applications[0].entities[0]: unknown tangibility ['tangible']"),
+        ],
+    ),
+    "json: count a string": (
+        import_json,
+        _entity(count="2"),
+        [E("applications[0].entities[0]: count must be a positive integer or 'many'")],
+    ),
+    "json: count true": (
+        import_json,
+        _entity(count=True),
+        [E("applications[0].entities[0]: count must be a positive integer or 'many'")],
+    ),
+    "json: nested too deeply": (
+        import_json,
+        '{"applications":' + "[" * 100_000,
+        [E("invalid JSON: nested too deeply")],
+    ),
+    "json: order": (
+        import_json,
+        _json(
+            {
+                "id": 0,
+                "name": "a\nb",
+                "year": "x",
+                "genre": "g\r",
+                "subgenre": 5,
+                "refs": ["r", "r\n"],
+                "entities": [
+                    {"name": "", "what": "gizmo", "count": 0, "note": "n\n", "z": 0},
+                    {"name": 3, "what": "datum", "how": "tangible", "note": 4},
+                ],
+                "x": 1,
+            },
+            {"id": "1", "name": None, "year": -1},
+        ),
+        [
+            W("applications[0]: unknown key 'x'"),
+            E("applications[0]: id must be positive"),
+            E("applications[0]: name must not contain a line break"),
+            E("applications[0]: year must be an integer"),
+            E("applications[0]: subgenre must be a string"),
+            E("applications[0]: genre must not contain a line break"),
+            E("applications[0]: refs[1] must not contain a line break"),
+            W("applications[0].entities[0]: unknown key 'z'"),
+            E("applications[0].entities[0]: name must be non-empty"),
+            E("applications[0].entities[0]: unknown role 'gizmo'"),
+            E("applications[0].entities[0]: unknown tangibility None"),
+            E("applications[0].entities[0]: count must be positive"),
+            E("applications[0].entities[0]: note must not contain a line break"),
+            E("applications[0].entities[1]: name must be a string"),
+            E("applications[0].entities[1]: note must be a string"),
+            E("applications[1]: id must be an integer"),
+            E("applications[1]: name must be a string"),
+            E("applications[1]: year must not be negative"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", READER_DIAGNOSTICS)
+def test_reader_diagnostics(name):
+    reader, text, expected = READER_DIAGNOSTICS[name]
+    corpus, diagnostics = reader(text)
+    assert diagnostics == expected
+    assert (corpus == Corpus()) is any(d.is_error for d in expected)
+
+
+def test_json_value_too_deep_to_print(monkeypatch):
+    """A value that json.loads returns but that is too deep to repr in its
+    message.  The nesting is built here: whether json.loads itself can
+    return it depends on the interpreter's recursion accounting."""
+    deep: list = []
+    for _ in range(100_000):
+        deep = [deep]
+    data = {"applications": [{"id": 1, "name": "a", "entities": [{**ENTITY_JSON, "what": deep}]}]}
+    monkeypatch.setattr(json, "loads", lambda text: data)
+    assert import_json("{}") == (Corpus(), [E("invalid JSON: nested too deeply")])
+
+
 class TestLexer:
     def test_identifier_characters_are_isalpha_then_isalnum(self):
         start = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isalpha()] + ["_"]
