@@ -20,7 +20,7 @@ from .analysis import Metric
 from .dsl import export_json, import_json, parse_corpus, serialize_corpus
 from .golden import load_golden
 from .hallmark import SymbolicCountError
-from .model import Corpus, Diagnostic, SourceSpan, first_surrogate
+from .model import Corpus, Diagnostic
 from .reporting import (
     analytics_report,
     class_table,
@@ -129,7 +129,7 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
     if args.golden:
         return load_golden(), "<golden>"
 
-    # Bytes that are not UTF-8 are read as lone surrogates, then refused.
+    # Bytes that are not UTF-8 are read as lone surrogates, which the readers refuse.
     if args.input == "-":
         label = "<stdin>"
         stream = getattr(sys.stdin, "buffer", None)
@@ -147,11 +147,6 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
             return None, label
 
     text = text.removeprefix("\ufeff")  # a byte order mark is not content
-    bad = first_surrogate(text)
-    if bad is not None:
-        span = SourceSpan(text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad))
-        _print_diagnostics([Diagnostic.error("input is not valid UTF-8", span)], label, sys.stderr)
-        return None, label
     reader = import_json if text.lstrip().startswith("{") else parse_corpus
     corpus, diagnostics = reader(text)
     _print_diagnostics(diagnostics, label, sys.stderr)

@@ -23,7 +23,12 @@ are mandatory per entity; `count` defaults to 1.  Unknown keys draw warnings
 and are skipped, so the format can grow without breaking old readers; their
 value is a scalar or a list of scalars.  Any error leaves nothing
 half-loaded: `parse_corpus` then returns an empty corpus alongside the
-diagnostics.
+diagnostics.  A lone surrogate in either reader's input is one error,
+`input is not valid UTF-8`, at its line and column.
+
+The field table (`_APPLICATION`, `_ENTITY`) is the one place the schema
+lives.  The text parser reads both block kinds with one loop over it; the
+JSON reader takes its known keys and its integer and string checks from it.
 
 Both readers report in input order: each invariant of `model` is checked
 where its value is read, except that the entity-less warning, the count
@@ -55,6 +60,7 @@ from .model import (
     Role,
     SourceSpan,
     Tangibility,
+    first_surrogate,
     is_integer,
 )
 
@@ -105,6 +111,26 @@ class _ParseError(Exception):
 
 _KINDS = _TokenKind.__members__
 _SCALARS = (_TokenKind.STRING, _TokenKind.INTEGER, _TokenKind.IDENT)
+
+
+# The field table: each block kind's name, what belongs where a key is expected,
+# and how each known key's value is read.  A type is one token whose value has
+# that type in text (_VALUE_KINDS), and a value of that type in JSON.  A name
+# is a _Parser method taking the key and the block's location; JSON reads those
+# keys in its own code.  `what` and `how` share one lookup, _TERMS.
+_Block = NamedTuple("_Block", [("name", str), ("expected", str), ("fields", dict)])
+_APPLICATION = _Block(
+    "application",
+    "a field or 'entity'",
+    {"id": int, "year": int, "genre": str, "subgenre": str, "refs": "_refs"},
+)
+_ENTITY = _Block(
+    "entity",
+    "an entity field",
+    {"what": "_term", "how": "_term", "count": "_count", "note": str},
+)
+_VALUE_KINDS = {int: _TokenKind.INTEGER, str: _TokenKind.STRING}
+_TERMS = {"what": ("role", _ROLES), "how": ("tangibility", _TANGIBILITIES)}
 
 # A string up to its closing quote.  A line break, "\r" included, ends it early.
 _OPEN_STRING = r' " (?: [^"\\\n\r] | \\["\\] )* '
@@ -196,90 +222,97 @@ class _Parser:
         return self._advance()
 
     def parse(self) -> Corpus:
-        applications: list[Application] = []
+        applications: list[Application | None] = []
         while self._peek().kind is not _TokenKind.EOF:
-            token = self._peek()
-            if token.kind is _TokenKind.IDENT and token.value == "application":
-                app = self._parse_application()
-                if app is not None:
-                    applications.append(app)
-            else:
-                raise _ParseError(
-                    f"expected 'application', found {token.describe()}", token.span
-                )
-        return Corpus(tuple(applications))
+            token = self._advance()
+            if token.kind is not _TokenKind.IDENT or token.value != "application":
+                raise _ParseError(f"expected 'application', found {token.describe()}", token.span)
+            applications.append(self._parse_application())
+        return Corpus(tuple(filter(None, applications)))
 
     def _parse_application(self) -> Application | None:
-        self._advance()  # 'application'
         name_token = self._expect(_TokenKind.STRING, "(application name)")
         name = name_token.value
-        self._expect(_TokenKind.LBRACE, "to open the application block")
-
-        seen_fields: set[str] = set()
-        app_id: int | None = None
-        year: int | None = None
-        genre: str | None = None
-        subgenre: str | None = None
-        refs: tuple[str, ...] = ()
-        entities: list[Entity] = []
-        entity_blocks = 0
-
-        while self._peek().kind not in (_TokenKind.RBRACE, _TokenKind.EOF):
-            token = self._peek()
-            if token.kind is not _TokenKind.IDENT:
-                raise _ParseError(
-                    f"expected a field or 'entity', found {token.describe()}", token.span
-                )
-            key = token.value
-            if key == "entity":
-                entity_blocks += 1
-                entity = self._parse_entity()
-                if entity is not None:
-                    entities.append(entity)
-                continue
-            self._advance()
-            self._expect(_TokenKind.COLON, f"after {key!r}")
-            if key in seen_fields:
-                self.check.warning(f"duplicate key {key!r}", token.span)
-            if key in ("id", "year"):
-                value_token = self._expect(_TokenKind.INTEGER, f"as the {key}")
-                if key == "id":
-                    app_id = value_token.value
-                    self.check.app_id(f"application {app_id}", app_id, value_token.span)
-                else:
-                    year = value_token.value
-            elif key in ("genre", "subgenre"):
-                value_token = self._expect(_TokenKind.STRING, f"as the {key}")
-                if key == "genre":
-                    genre = value_token.value
-                else:
-                    subgenre = value_token.value
-            elif key == "refs":
-                refs = self._parse_list((_TokenKind.STRING,), "refs list")
-            else:
-                self.check.warning(f"unknown key {key!r}", token.span)
-                self._skip_value()
-                continue
-            seen_fields.add(key)
-
-        self._expect(_TokenKind.RBRACE, "to close the application block")
-
+        values = self._block(_APPLICATION, f"application {name!r}")
+        app_id = values.get("id")
         where = f"application {name!r}" if app_id is None else f"application {app_id}"
         self.check.name(where, name, name_token.span, unique=True)
         if app_id is None:
             self.check.error(f"{where} has no id", name_token.span)
             return None
-        self.check.entity_records(where, entity_blocks, name_token.span)
+        blocks = values.pop("entity", [])
+        entities = tuple(filter(None, blocks))  # the entity blocks that loaded
+        self.check.entity_records(where, len(blocks), name_token.span)
         self.check.count_total(where, entities, name_token.span)
-        return Application(
-            id=app_id,
-            name=name,
-            year=year,
-            genre=genre,
-            subgenre=subgenre,
-            refs=refs,
-            entities=tuple(entities),
-        )
+        # The application keys are the names of Application's fields.
+        return Application(name=name, entities=entities, **values)
+
+    def _parse_entity(self) -> Entity | None:
+        name_token = self._expect(_TokenKind.STRING, "(entity name)")
+        name = name_token.value
+        where = f"entity {name!r}"
+        self.check.name(where, name, name_token.span)
+        values = self._block(_ENTITY, where)
+        for key in _TERMS:
+            if key not in values:
+                self.check.error(f"{where} is missing {key!r}", name_token.span)
+        role, tangibility = values.get("what"), values.get("how")
+        if role is None or tangibility is None:
+            return None
+        return Entity(name, role, tangibility, values.get("count", Count(1)), values.get("note"))
+
+    def _block(self, block: _Block, where: str) -> dict[str, Any]:
+        """Read ``{ key: value ... }``: each known key's value (the last one of a duplicate),
+        and in an application its entity blocks under "entity", None where one failed."""
+        self._expect(_TokenKind.LBRACE, f"to open the {block.name} block")
+        values: dict[str, Any] = {}
+        while self._peek().kind not in (_TokenKind.RBRACE, _TokenKind.EOF):
+            token = self._advance()
+            if token.kind is not _TokenKind.IDENT:
+                message = f"expected {block.expected}, found {token.describe()}"
+                raise _ParseError(message, token.span)
+            key = token.value
+            if key == "entity" and block is _APPLICATION:
+                values.setdefault("entity", []).append(self._parse_entity())
+                continue
+            self._expect(_TokenKind.COLON, f"after {key!r}")
+            read = block.fields.get(key)
+            if read is None:
+                self.check.warning(f"unknown key {key!r}", token.span)
+                self._skip_value()
+                continue
+            if key in values:
+                self.check.warning(f"duplicate key {key!r}", token.span)
+            if isinstance(read, str):
+                values[key] = getattr(self, read)(key, where)
+            else:
+                value_token = self._expect(_VALUE_KINDS[read], f"as the {key}")
+                values[key] = value = value_token.value
+                if key == "id":
+                    self.check.app_id(f"application {value}", value, value_token.span)
+        self._expect(_TokenKind.RBRACE, f"to close the {block.name} block")
+        return values
+
+    def _refs(self, key: str, where: str) -> tuple[str, ...]:
+        return self._parse_list((_TokenKind.STRING,), "refs list")
+
+    def _term(self, key: str, where: str) -> Role | Tangibility | None:
+        label, terms = _TERMS[key]
+        token = self._expect(_TokenKind.IDENT, f"naming a {label}")
+        term = terms.get(token.value)
+        if term is None:
+            self.check.error(f"unknown {label} {token.value!r}", token.span)
+        return term
+
+    def _count(self, key: str, where: str) -> Count:
+        token = self._advance()
+        if token.kind is _TokenKind.INTEGER:
+            self.check.count(where, token.value, token.span)
+            return Count(token.value)
+        if token.kind is _TokenKind.IDENT and token.value == "many":
+            return Count.MANY
+        message = f"expected an integer or 'many' as the {key}, found {token.describe()}"
+        raise _ParseError(message, token.span)
 
     def _parse_list(self, kinds: tuple[_TokenKind, ...], name: str) -> tuple[Any, ...]:
         """Parse ``[v, v, ...]``, possibly empty, where each value is one token of ``kinds``."""
@@ -299,78 +332,6 @@ class _Parser:
         self._expect(_TokenKind.RBRACKET, f"to close the {name}")
         return tuple(values)
 
-    def _parse_entity(self) -> Entity | None:
-        self._advance()  # 'entity'
-        name_token = self._expect(_TokenKind.STRING, "(entity name)")
-        name = name_token.value
-        where = f"entity {name!r}"
-        self.check.name(where, name, name_token.span)
-        self._expect(_TokenKind.LBRACE, "to open the entity block")
-
-        seen_fields: set[str] = set()
-        role: Role | None = None
-        tangibility: Tangibility | None = None
-        count = Count(1)
-        note: str | None = None
-
-        while self._peek().kind not in (_TokenKind.RBRACE, _TokenKind.EOF):
-            token = self._peek()
-            if token.kind is not _TokenKind.IDENT:
-                raise _ParseError(
-                    f"expected an entity field, found {token.describe()}", token.span
-                )
-            key = token.value
-            self._advance()
-            self._expect(_TokenKind.COLON, f"after {key!r}")
-            if key in seen_fields:
-                self.check.warning(f"duplicate key {key!r}", token.span)
-            if key == "what":
-                value_token = self._expect(_TokenKind.IDENT, "naming a role")
-                role = _ROLES.get(value_token.value)
-                if role is None:
-                    self.check.error(f"unknown role {value_token.value!r}", value_token.span)
-            elif key == "how":
-                value_token = self._expect(_TokenKind.IDENT, "naming a tangibility")
-                tangibility = _TANGIBILITIES.get(value_token.value)
-                if tangibility is None:
-                    self.check.error(
-                        f"unknown tangibility {value_token.value!r}", value_token.span
-                    )
-            elif key == "count":
-                value_token = self._peek()
-                if value_token.kind is _TokenKind.INTEGER:
-                    self._advance()
-                    self.check.count(where, value_token.value, value_token.span)
-                    count = Count(value_token.value)
-                elif (
-                    value_token.kind is _TokenKind.IDENT and value_token.value == "many"
-                ):
-                    self._advance()
-                    count = Count.MANY
-                else:
-                    raise _ParseError(
-                        f"expected an integer or 'many' as the count, "
-                        f"found {value_token.describe()}",
-                        value_token.span,
-                    )
-            elif key == "note":
-                note = self._expect(_TokenKind.STRING, "as the note").value
-            else:
-                self.check.warning(f"unknown key {key!r}", token.span)
-                self._skip_value()
-                continue
-            seen_fields.add(key)
-
-        self._expect(_TokenKind.RBRACE, "to close the entity block")
-
-        if role is None and "what" not in seen_fields:
-            self.check.error(f"{where} is missing 'what'", name_token.span)
-        if tangibility is None and "how" not in seen_fields:
-            self.check.error(f"{where} is missing 'how'", name_token.span)
-        if role is None or tangibility is None:
-            return None
-        return Entity(name=name, role=role, tangibility=tangibility, count=count, note=note)
-
     def _skip_value(self) -> None:
         token = self._peek()
         if token.kind is _TokenKind.LBRACKET:
@@ -379,6 +340,15 @@ class _Parser:
             self._advance()
         else:
             raise _ParseError(f"expected a value, found {token.describe()}", token.span)
+
+
+def _check_utf8(text: str) -> None:
+    """Refuse a lone surrogate, which no UTF-8 output can hold: a byte that
+    is not UTF-8, decoded with "surrogateescape", becomes one."""
+    bad = first_surrogate(text)
+    if bad is not None:
+        span = SourceSpan(text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad))
+        raise _ParseError("input is not valid UTF-8", span)
 
 
 def _all_or_nothing(corpus: Corpus, check: InvariantChecker) -> tuple[Corpus, list[Diagnostic]]:
@@ -393,6 +363,7 @@ def parse_corpus(text: str) -> tuple[Corpus, list[Diagnostic]]:
     Warnings (unknown keys, entity-less applications) do not block loading.
     """
     try:
+        _check_utf8(text)
         parser = _Parser(_lex(text))
         corpus = parser.parse()
     except _ParseError as exc:
@@ -460,6 +431,14 @@ def export_json(corpus: Corpus) -> str:
     return json.dumps({"applications": applications}, separators=(",", ":"), ensure_ascii=False)
 
 
+# JSON holds the names as fields, and an application's entities as an array.
+_APPLICATION_KEYS = frozenset({"name", *_APPLICATION.fields, "entities"})
+_ENTITY_KEYS = frozenset({"name", *_ENTITY.fields})
+# The JSON type of each key read by type (_field reads no other).  json.loads
+# makes no subclasses, so an exact type test is is_integer's (bool is not int).
+_FIELD_TYPES = {"name": str, **_APPLICATION.fields, **_ENTITY.fields}
+
+
 class _JsonReader:
     def __init__(self) -> None:
         self.check = InvariantChecker()
@@ -477,43 +456,46 @@ class _JsonReader:
             return Corpus()
         applications = []
         for index, node in enumerate(apps_node):
-            app = self._read_application(node, f"applications[{index}]")
-            if app is not None:
-                applications.append(app)
-        return Corpus(tuple(applications))
+            applications.append(self._read_application(node, f"applications[{index}]"))
+        return Corpus(tuple(filter(None, applications)))
 
-    def _read_application(self, node: Any, ctx: str) -> Application | None:
+    def _object(self, node: Any, ctx: str, known: frozenset[str]) -> bool:
+        """Whether ``node`` is an object; each key it has outside ``known`` draws a warning."""
         if not isinstance(node, dict):
             self.check.error(f"{ctx}: must be an object")
+            return False
+        if not known.issuperset(node):
+            for key in node:
+                if key not in known:
+                    self.check.warning(f"{ctx}: unknown key {key!r}")
+        return True
+
+    def _field(self, node: dict, ctx: str, key: str, required: bool = False) -> Any:
+        """``node[key]`` or None; an error unless of the key's type or, if optional, None."""
+        value = node.get(key)
+        json_type = _FIELD_TYPES[key]
+        if type(value) is not json_type and (required or value is not None):
+            noun = "an integer" if json_type is int else "a string"
+            self.check.error(f"{ctx}: {key} must be {noun}")
+        return value
+
+    def _read_application(self, node: Any, ctx: str) -> Application | None:
+        if not self._object(node, ctx, _APPLICATION_KEYS):
             return None
-        known = {"id", "name", "year", "genre", "subgenre", "refs", "entities"}
-        for key in node:
-            if key not in known:
-                self.check.warning(f"{ctx}: unknown key {key!r}")
         errors = self.check.errors
 
-        app_id = node.get("id")
-        if not is_integer(app_id):
-            self.check.error(f"{ctx}: id must be an integer")
+        app_id = self._field(node, ctx, "id", required=True)
         self.check.app_id(ctx, app_id)
 
-        name = node.get("name")
-        if not isinstance(name, str):
-            self.check.error(f"{ctx}: name must be a string")
+        name = self._field(node, ctx, "name", required=True)
         self.check.name(ctx, name, unique=True)
         self.check.one_line(ctx, "name", name)
 
-        year = node.get("year")
-        if year is not None and not is_integer(year):
-            self.check.error(f"{ctx}: year must be an integer")
+        year = self._field(node, ctx, "year")
         self.check.year(ctx, year)
 
-        genre = node.get("genre")
-        if genre is not None and not isinstance(genre, str):
-            self.check.error(f"{ctx}: genre must be a string")
-        subgenre = node.get("subgenre")
-        if subgenre is not None and not isinstance(subgenre, str):
-            self.check.error(f"{ctx}: subgenre must be a string")
+        genre = self._field(node, ctx, "genre")
+        subgenre = self._field(node, ctx, "subgenre")
         self.check.one_line(ctx, "genre", genre)
         self.check.one_line(ctx, "subgenre", subgenre)
 
@@ -530,57 +512,37 @@ class _JsonReader:
             self.check.error(f"{ctx}: entities must be an array")
         else:
             for index, entity_node in enumerate(entities_node):
-                entity = self._read_entity(entity_node, f"{ctx}.entities[{index}]")
-                if entity is not None:
-                    entities.append(entity)
+                entities.append(self._read_entity(entity_node, f"{ctx}.entities[{index}]"))
 
-        if self.check.errors > errors:
+        if self.check.errors > errors:  # each entity read as None counted one
             return None
         self.check.entity_records(ctx, len(entities))
         self.check.count_total(ctx, entities)
-        return Application(
-            id=app_id,
-            name=name,
-            year=year,
-            genre=genre,
-            subgenre=subgenre,
-            refs=tuple(refs),
-            entities=tuple(entities),
-        )
+        return Application(app_id, name, year, genre, subgenre, tuple(refs), tuple(entities))
 
     def _read_entity(self, node: Any, ctx: str) -> Entity | None:
-        if not isinstance(node, dict):
-            self.check.error(f"{ctx}: must be an object")
+        if not self._object(node, ctx, _ENTITY_KEYS):
             return None
-        known = {"name", "what", "how", "count", "note"}
-        for key in node:
-            if key not in known:
-                self.check.warning(f"{ctx}: unknown key {key!r}")
         errors = self.check.errors
 
-        name = node.get("name")
-        if not isinstance(name, str):
-            self.check.error(f"{ctx}: name must be a string")
+        name = self._field(node, ctx, "name", required=True)
         self.check.name(ctx, name)
         self.check.one_line(ctx, "name", name)
 
-        what_node = node.get("what")
-        role = _ROLES.get(what_node) if isinstance(what_node, str) else None
+        what, how = node.get("what"), node.get("how")
+        role = _ROLES.get(what) if isinstance(what, str) else None
         if role is None:
-            self.check.error(f"{ctx}: unknown role {what_node!r}")
-        how_node = node.get("how")
-        tangibility = _TANGIBILITIES.get(how_node) if isinstance(how_node, str) else None
+            self.check.error(f"{ctx}: unknown role {what!r}")
+        tangibility = _TANGIBILITIES.get(how) if isinstance(how, str) else None
         if tangibility is None:
-            self.check.error(f"{ctx}: unknown tangibility {how_node!r}")
+            self.check.error(f"{ctx}: unknown tangibility {how!r}")
 
         count_node = node.get("count", 1)
         if count_node != "many" and not is_integer(count_node):
             self.check.error(f"{ctx}: count must be a positive integer or 'many'")
         self.check.count(ctx, count_node)
 
-        note = node.get("note")
-        if note is not None and not isinstance(note, str):
-            self.check.error(f"{ctx}: note must be a string")
+        note = self._field(node, ctx, "note")
         self.check.one_line(ctx, "note", note)
 
         if self.check.errors > errors:
@@ -589,23 +551,19 @@ class _JsonReader:
         return Entity(name=name, role=role, tangibility=tangibility, count=count, note=note)
 
 
-_NESTED_TOO_DEEPLY = "invalid JSON: nested too deeply"
-
-
 def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
     """Read the JSON interchange form.  Same all-or-nothing contract as parse_corpus."""
     reader = _JsonReader()
     try:
-        data = json.loads(text)
+        _check_utf8(text)
+        corpus = reader.read(json.loads(text))
+    except _ParseError as exc:
+        return Corpus(), [exc.diagnostic]
     except json.JSONDecodeError as exc:
         span = SourceSpan(exc.lineno, exc.colno)
         return Corpus(), [Diagnostic.error(f"invalid JSON: {exc.msg}", span)]
     except ValueError:  # more digits than sys.get_int_max_str_digits()
         return Corpus(), [Diagnostic.error(f"invalid JSON: {_too_long()}")]
-    except RecursionError:
-        return Corpus(), [Diagnostic.error(_NESTED_TOO_DEEPLY)]
-    try:
-        corpus = reader.read(data)
-    except RecursionError:  # a value too deep to print in a message
-        return Corpus(), [Diagnostic.error(_NESTED_TOO_DEEPLY)]
+    except RecursionError:  # too deep to read, or to print in a message
+        return Corpus(), [Diagnostic.error("invalid JSON: nested too deeply")]
     return _all_or_nothing(corpus, reader.check)

@@ -16,10 +16,14 @@ applied.  See README.md, section "Data notes", for the full analysis.
 from __future__ import annotations
 
 import functools
+import os
 import random
 from collections import defaultdict
+from pathlib import Path
 import subprocess
 import sys
+
+import tangibility
 
 from corpusgen import random_corpus, random_hallmark
 from tangibility import (
@@ -450,10 +454,16 @@ def test_criterion_09_distance_axioms():
         assert isinstance(ba, BinaryHallmark)
 
 
+def _child_env() -> dict[str, str]:
+    """This environment with PYTHONPATH set to the tested package's source
+    directory, so a child interpreter imports the same code."""
+    return {**os.environ, "PYTHONPATH": str(Path(tangibility.__file__).parent.parent)}
+
+
 @criterion(10, "analyze --golden --format csv is byte-identical across two runs")
 def test_criterion_10_determinism():
     command = [sys.executable, "-m", "tangibility.cli", "analyze", "--golden", "--format", "csv"]
-    first = subprocess.run(command, capture_output=True, check=True)
-    second = subprocess.run(command, capture_output=True, check=True)
+    first = subprocess.run(command, capture_output=True, check=True, env=_child_env())
+    second = subprocess.run(command, capture_output=True, check=True, env=_child_env())
     assert first.stdout == second.stdout
     assert first.stdout

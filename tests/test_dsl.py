@@ -544,20 +544,22 @@ READER_DIAGNOSTICS = {
         'application "a" {\n'
         "  id: 0\n"
         "  tags: [1, x]\n"
-        "  id: 2\n"
-        '  entity "" { what: gizmo what: datum how: nope count: 0 entity: 3 }\n'
+        "  id: 0\n"
+        '  entity "" { what: gizmo what: gadget how: nope count: 0 entity: 3 }\n'
         '  entity "f" { count: 2 }\n'
         "}",
         [
             E("application 0: id must be positive", SourceSpan(2, 7)),
             W("unknown key 'tags'", SourceSpan(3, 3)),
             W("duplicate key 'id'", SourceSpan(4, 3)),
+            E("application 0: id must be positive", SourceSpan(4, 7)),
             E("entity '': name must be non-empty", SourceSpan(5, 10)),
             E("unknown role 'gizmo'", SourceSpan(5, 21)),
             W("duplicate key 'what'", SourceSpan(5, 27)),
-            E("unknown tangibility 'nope'", SourceSpan(5, 44)),
-            E("entity '': count must be positive", SourceSpan(5, 56)),
-            W("unknown key 'entity'", SourceSpan(5, 58)),
+            E("unknown role 'gadget'", SourceSpan(5, 33)),
+            E("unknown tangibility 'nope'", SourceSpan(5, 45)),
+            E("entity '': count must be positive", SourceSpan(5, 57)),
+            W("unknown key 'entity'", SourceSpan(5, 59)),
             E("entity 'f' is missing 'what'", SourceSpan(6, 10)),
             E("entity 'f' is missing 'how'", SourceSpan(6, 10)),
         ],
@@ -717,6 +719,24 @@ def test_json_value_too_deep_to_print(monkeypatch):
     data = {"applications": [{"id": 1, "name": "a", "entities": [{**ENTITY_JSON, "what": deep}]}]}
     monkeypatch.setattr(json, "loads", lambda text: data)
     assert import_json("{}") == (Corpus(), [E("invalid JSON: nested too deeply")])
+
+
+def test_lone_surrogate_in_text_input_is_located():
+    text = 'application "a\ud800" { id: 1 entity "e" { what: datum how: tangible } }'
+    assert parse_corpus(text) == (
+        Corpus(),
+        [E("input is not valid UTF-8", SourceSpan(1, 15))],
+    )
+
+
+def test_lone_surrogate_in_json_input_is_located():
+    raw = '{"applications": [\n  {"id": 1, "name": "a\udc80"}]}'
+    assert import_json(raw) == (Corpus(), [E("input is not valid UTF-8", SourceSpan(2, 23))])
+    escaped = '{"applications": [{"id": 1, "name": "a\\udc80"}]}'  # the JSON escape
+    assert import_json(escaped) == (
+        Corpus(),
+        [E("applications[0]: name must not contain a lone surrogate")],
+    )
 
 
 class TestLexer:

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
+import pytest
+
 from tangibility import (
     Count,
     classify,
@@ -13,6 +17,7 @@ from tangibility import (
     serialize_corpus,
     validate,
 )
+from tangibility import golden
 
 # Frozen expectations: every application's hallmark vector and class, computed
 # independently from the per-entity annotations before being asserted here.
@@ -66,6 +71,28 @@ def test_shape():
 
 def test_loading_is_cached():
     assert load_golden() is load_golden()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('application "a" { id: 0 }', "corrupted: application 0: id must be positive"),
+        ('application "a" { id: 1 }', "corrupted: application 1: no entity records"),
+        ("# no applications\n", "empty"),
+    ],
+)
+def test_a_broken_asset_raises(text, message, tmp_path, monkeypatch):
+    asset = tmp_path / golden.GOLDEN_RESOURCE
+    asset.parent.mkdir()
+    asset.write_text(text, encoding="utf-8")
+    monkeypatch.setattr(golden, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    load_golden.cache_clear()
+    try:
+        with pytest.raises(RuntimeError) as raised:
+            load_golden()
+        assert str(raised.value) == f"bundled corpus asset is {message}"
+    finally:
+        load_golden.cache_clear()
 
 
 def test_validates_clean():

@@ -79,6 +79,17 @@ def test_wrong_arity_rejected():
         BinaryHallmark((0,) * 11 + (2,))
 
 
+def test_of_takes_counts_ints_and_many_only():
+    assert Hallmark.of(Count(2), 1, "many", *[0] * 9).components[:3] == (
+        Count(2),
+        Count(1),
+        Count.MANY,
+    )
+    for bad in (1.5, True):
+        with pytest.raises(TypeError, match="component must be an int, 'many', or Count"):
+            Hallmark.of(bad, *[0] * 11)
+
+
 def test_text_form_uses_n_for_many():
     assert str(Hallmark.of("many", 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0)) == (
         "(N, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 0)"

@@ -62,6 +62,10 @@ class TestCount:
         with pytest.raises(TypeError):
             Count(True)  # type: ignore[arg-type]
 
+    def test_adds_only_counts(self):
+        with pytest.raises(TypeError):
+            Count(1) + 1
+
     def test_str(self):
         assert str(Count(4)) == "4"
         assert str(Count.MANY) == "many"
@@ -77,6 +81,13 @@ class TestCount:
     @given(counts, counts, counts)
     def test_addition_associates(self, a, b, c):
         assert (a + b) + c == a + (b + c)
+
+
+def test_application_lookup_of_a_missing_id():
+    corpus = Corpus((_app(1),))
+    assert corpus.application(1) == _app(1)
+    with pytest.raises(KeyError):
+        corpus.application(2)
 
 
 class TestValidate:
