@@ -33,7 +33,7 @@ from tangibility import (
     term_coverage,
 )
 from tangibility import analysis
-from tangibility.hallmark import binarize, hamming_distance, l1_distance
+from tangibility.hallmark import binarize, compute_hallmark, hamming_distance, l1_distance
 
 GOLDEN_COVERAGE = {
     "datible": 14,
@@ -231,6 +231,28 @@ class TestClusters:
             seen.update(cluster.members)
         singles = len(corpus.applications) - len(seen)
         assert distinct_hallmark_count(corpus) == singles + len(clusters)
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100)
+    def test_binary_clusters_match_a_reference_grouping(self, seed):
+        corpus = random_corpus(random.Random(seed), max_apps=12)
+        exact: dict = {}
+        binary: dict = {}
+        for app in corpus.applications:
+            mark = compute_hallmark(app)
+            exact.setdefault(mark, []).append(app.id)
+            binary.setdefault(binarize(mark), []).append(app.id)
+        expected = sorted(
+            (
+                analysis.Cluster(key, tuple(sorted(ids)))
+                for key, ids in binary.items()
+                if len(ids) > 1
+            ),
+            key=lambda cluster: cluster.members[0],
+        )
+        assert cluster_by_binary_hallmark(corpus) == expected
+        assert distinct_binary_hallmark_count(corpus) == len(binary)
+        assert distinct_hallmark_count(corpus) == len(exact)
 
 
 class TestDistanceMatrix:

@@ -261,6 +261,62 @@ class TestUsage:
         assert "invalid choice" in capsys.readouterr().err
 
 
+# The --format values each corpus command takes; validate takes none.
+FORMATS = {
+    "validate": (),
+    "classify": ("text", "csv", "json"),
+    "hallmark": ("text", "csv", "json"),
+    "analyze": ("text", "csv", "json", "dot"),
+    "cluster": ("text", "csv", "json"),
+    "export": ("text", "json"),
+}
+
+# The command surface, argv -> exit code: every command with each format it
+# takes, and formats and options outside their own command, which are usage
+# errors.
+SURFACE = {
+    "validate --golden": 0,
+    **{f"{cmd} --golden --format {fmt}": 0 for cmd, fmts in FORMATS.items() for fmt in fmts},
+    "term tolnible": 0,
+    "export --golden --format csv": 2,
+    "validate --golden --format text": 2,
+    "analyze --golden --format xml": 2,
+    "hallmark --golden --binary": 2,
+    "cluster --golden --key genre": 2,
+    "classify --golden --metric l1": 2,
+    "term tolnible --golden": 2,
+    "term": 2,
+}
+
+
+@pytest.mark.parametrize("argv", SURFACE)
+def test_command_surface(argv, capsys):
+    code = SURFACE[argv]
+    assert main(argv.split()) == code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == "" and (out == "") is argv.startswith("validate")
+    else:
+        assert out == "" and "error:" in err
+
+
+@pytest.mark.parametrize(
+    "short, explicit",
+    [
+        ("classify --golden", "classify --golden --format text"),
+        ("hallmark --golden", "hallmark --golden --format text"),
+        ("analyze --golden", "analyze --golden --format text --key genre --metric hamming"),
+        ("cluster --golden", "cluster --golden --format text"),
+        ("export --golden", "export --golden --format text"),
+    ],
+)
+def test_option_defaults(short, explicit, capsys):
+    assert main(short.split()) == 0
+    default = capsys.readouterr()
+    assert main(explicit.split()) == 0
+    assert capsys.readouterr() == default
+
+
 class TestInputEncoding:
     @pytest.mark.parametrize("fmt", ["text", "json"])
     @pytest.mark.parametrize("source", ["file", "stdin"])

@@ -539,6 +539,71 @@ READER_DIAGNOSTICS = {
         'application "a" {\n  id: 1\n  extra: {\n}',
         [E("expected a value, found '{'", SourceSpan(3, 10))],
     ),
+    "text: an application name": (
+        parse_corpus,
+        "application {\n}",
+        [E("expected string (application name), found '{'", SourceSpan(1, 13))],
+    ),
+    "text: an entity name": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity { }\n}',
+        [E("expected string (entity name), found '{'", SourceSpan(3, 10))],
+    ),
+    "text: opening the application block": (
+        parse_corpus,
+        'application "a"\n  id: 1\n',
+        [
+            E(
+                "expected '{' to open the application block, found identifier 'id'",
+                SourceSpan(2, 3),
+            )
+        ],
+    ),
+    "text: opening the entity block": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" what: datum\n}',
+        [
+            E(
+                "expected '{' to open the entity block, found identifier 'what'",
+                SourceSpan(3, 14),
+            )
+        ],
+    ),
+    "text: closing the entity block": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" { what: datum how: tangible',
+        [E("expected '}' to close the entity block, found end of input", SourceSpan(3, 41))],
+    ),
+    "text: a colon after a key": (
+        parse_corpus,
+        'application "a" {\n  id 1\n}',
+        [E("expected ':' after 'id', found integer '1'", SourceSpan(2, 6))],
+    ),
+    "text: a value of the wrong kind": (
+        parse_corpus,
+        'application "a" {\n  id: "1"\n}',
+        [E("expected integer as the id, found string '\"1\"'", SourceSpan(2, 7))],
+    ),
+    "text: naming a role": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" { what: "datum" how: tangible }\n}',
+        [E("expected identifier naming a role, found string '\"datum\"'", SourceSpan(3, 22))],
+    ),
+    "text: naming a tangibility": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  entity "e" { what: datum how: 5 }\n}',
+        [E("expected identifier naming a tangibility, found integer '5'", SourceSpan(3, 33))],
+    ),
+    "text: opening the refs list": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  refs: "r"\n}',
+        [E("expected '[' to open the refs list, found string '\"r\"'", SourceSpan(3, 9))],
+    ),
+    "text: closing the refs list": (
+        parse_corpus,
+        'application "a" {\n  id: 1\n  refs: ["r" "s"]\n}',
+        [E("expected ']' to close the refs list, found string '\"s\"'", SourceSpan(3, 14))],
+    ),
     "text: order": (
         parse_corpus,
         'application "a" {\n'
