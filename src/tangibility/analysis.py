@@ -162,31 +162,31 @@ def _clusters(keyed: dict) -> list[Cluster]:
     return clusters
 
 
-def _group_by_hallmark(corpus: Corpus, binary: bool) -> dict:
-    keyed: dict = {}
-    for app, mark in zip(corpus.applications, corpus.hallmarks):
-        key: Union[Hallmark, BinaryHallmark] = binarize(mark) if binary else mark
-        keyed.setdefault(key, []).append(app.id)
-    return keyed
-
-
 def cluster_by_hallmark(corpus: Corpus) -> list[Cluster]:
     """Groups of applications with identical hallmarks (multi-member only),
     ordered by smallest member id, members ascending."""
-    return _clusters(_group_by_hallmark(corpus, binary=False))
+    keyed: dict[Hallmark, list[int]] = {}
+    for app, mark in zip(corpus.applications, corpus.hallmarks):
+        keyed.setdefault(mark, []).append(app.id)
+    return _clusters(keyed)
 
 
 def cluster_by_binary_hallmark(corpus: Corpus) -> list[Cluster]:
     """Like cluster_by_hallmark but on binarized vectors."""
-    return _clusters(_group_by_hallmark(corpus, binary=True))
+    # Binary hallmarks are equal exactly when their masks are; each group is
+    # keyed by its first member's hallmark, binarized only for a cluster.
+    keyed: dict[int, tuple[Hallmark, list[int]]] = {}
+    for app, mark in zip(corpus.applications, corpus.hallmarks):
+        keyed.setdefault(mark.mask, (mark, []))[1].append(app.id)
+    return _clusters({binarize(mark): ids for mark, ids in keyed.values() if len(ids) > 1})
 
 
 def distinct_hallmark_count(corpus: Corpus) -> int:
-    return len(_group_by_hallmark(corpus, binary=False))
+    return len(set(corpus.hallmarks))
 
 
 def distinct_binary_hallmark_count(corpus: Corpus) -> int:
-    return len(_group_by_hallmark(corpus, binary=True))
+    return len({mark.mask for mark in corpus.hallmarks})
 
 
 def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:

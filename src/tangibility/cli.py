@@ -6,6 +6,11 @@ that is not is an error at its line and column).  One leading byte order
 mark is dropped; then text starting with "{" is read as the JSON interchange
 form, anything else as the annotation format.
 
+The commands come from one table, ``_COMMANDS``, which gives each its help,
+its --format choices and its handler; the options of a single command are
+added after it.  Every "label: severity: message" line is printed by
+``_print_diagnostics``.
+
 Exit codes: 0 success, 1 corpus errors (diagnostics go to stderr as
 "file:line:col: severity: message"), 2 usage errors.
 """
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence, TextIO
+from typing import Sequence
 
 from .analysis import Metric
 from .dsl import export_json, import_json, parse_corpus, serialize_corpus
@@ -37,81 +42,14 @@ EXIT_CORPUS_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _add_input_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("input", nargs="?", help="corpus file, or '-' for stdin")
-    parser.add_argument(
-        "--golden", action="store_true", help="use the bundled reference corpus"
-    )
-
-
-def _add_format_argument(parser: argparse.ArgumentParser, choices: tuple[str, ...]) -> None:
-    parser.add_argument(
-        "--format",
-        choices=choices,
-        default="text",
-        help="output format (default: text)",
-    )
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="tangibility",
-        description="Classify tangible-interface specimens and analyze annotated corpora.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="parse a corpus and report diagnostics")
-    _add_input_arguments(p)
-
-    p = sub.add_parser("classify", help="tangibility class per application")
-    _add_input_arguments(p)
-    _add_format_argument(p, ("text", "csv", "json"))
-
-    p = sub.add_parser("hallmark", help="hallmark vector per application")
-    _add_input_arguments(p)
-    _add_format_argument(p, ("text", "csv", "json"))
-
-    p = sub.add_parser("analyze", help="full corpus analytics")
-    _add_input_arguments(p)
-    _add_format_argument(p, ("text", "csv", "json", "dot"))
-    p.add_argument(
-        "--key",
-        choices=("genre", "subgenre"),
-        default="genre",
-        help="cross-tab grouping key (default: genre)",
-    )
-    p.add_argument(
-        "--metric",
-        choices=("l1", "hamming"),
-        default="hamming",
-        help="distance metric (default: hamming)",
-    )
-
-    p = sub.add_parser("cluster", help="applications sharing a hallmark")
-    _add_input_arguments(p)
-    _add_format_argument(p, ("text", "csv", "json"))
-    p.add_argument(
-        "--binary", action="store_true", help="cluster on binarized hallmarks"
-    )
-
-    p = sub.add_parser("term", help="expand one of the twelve what-how terms")
-    p.add_argument("name", help="term name, e.g. tolnible")
-
-    p = sub.add_parser("export", help="re-emit a corpus canonically")
-    _add_input_arguments(p)
-    _add_format_argument(p, ("text", "json"))
-
-    return parser
-
-
-def _print_diagnostics(diagnostics: Sequence[Diagnostic], label: str, stream: TextIO) -> None:
+def _print_diagnostics(diagnostics: Sequence[Diagnostic], label: str) -> None:
     for diagnostic in diagnostics:
         severity = diagnostic.severity.value
         if diagnostic.span is not None:
             position = f":{diagnostic.span.line}:{diagnostic.span.column}"
         else:
             position = ""
-        print(f"{label}{position}: {severity}: {diagnostic.message}", file=stream)
+        print(f"{label}{position}: {severity}: {diagnostic.message}", file=sys.stderr)
 
 
 def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Corpus | None, str]:
@@ -143,13 +81,13 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
             with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
                 text = handle.read()
         except OSError as exc:
-            print(f"{label}: error: {exc.strerror or exc}", file=sys.stderr)
+            _print_diagnostics([Diagnostic.error(exc.strerror or str(exc))], label)
             return None, label
 
     text = text.removeprefix("\ufeff")  # a byte order mark is not content
     reader = import_json if text.lstrip().startswith("{") else parse_corpus
     corpus, diagnostics = reader(text)
-    _print_diagnostics(diagnostics, label, sys.stderr)
+    _print_diagnostics(diagnostics, label)
     if any(d.is_error for d in diagnostics):
         return None, label
     return corpus, label
@@ -178,7 +116,7 @@ def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
     try:
         report = _REPORT_BUILDERS[args.command](corpus, args)
     except SymbolicCountError as exc:  # analyze --metric l1 on a 'many' count
-        print(f"{label}: error: {exc}", file=sys.stderr)
+        _print_diagnostics([Diagnostic.error(str(exc))], label)
         return EXIT_CORPUS_ERROR
     sys.stdout.write(render(report, args.format))
     return EXIT_OK
@@ -204,31 +142,67 @@ def _cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> in
         try:
             sys.stdout.write(serialize_corpus(corpus))
         except ValueError as exc:
-            print(f"{label}: error: {exc}", file=sys.stderr)
+            _print_diagnostics([Diagnostic.error(str(exc))], label)
             return EXIT_CORPUS_ERROR
     return EXIT_OK
 
 
+# name -> (help, --format choices, handler).  A command with choices None
+# reads no corpus; one with no choices reads a corpus but takes no --format.
 _COMMANDS = {
-    "validate": _cmd_validate,
-    "classify": _cmd_report,
-    "hallmark": _cmd_report,
-    "analyze": _cmd_report,
-    "cluster": _cmd_report,
-    "term": _cmd_term,
-    "export": _cmd_export,
+    "validate": ("parse a corpus and report diagnostics", (), _cmd_validate),
+    "classify": ("tangibility class per application", ("text", "csv", "json"), _cmd_report),
+    "hallmark": ("hallmark vector per application", ("text", "csv", "json"), _cmd_report),
+    "analyze": ("full corpus analytics", ("text", "csv", "json", "dot"), _cmd_report),
+    "cluster": ("applications sharing a hallmark", ("text", "csv", "json"), _cmd_report),
+    "term": ("expand one of the twelve what-how terms", None, _cmd_term),
+    "export": ("re-emit a corpus canonically", ("text", "json"), _cmd_export),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="tangibility",
+        description="Classify tangible-interface specimens and analyze annotated corpora.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, formats, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if formats is None:
+            continue
+        p.add_argument("input", nargs="?", help="corpus file, or '-' for stdin")
+        p.add_argument("--golden", action="store_true", help="use the bundled reference corpus")
+        if formats:
+            p.add_argument(
+                "--format", choices=formats, default="text", help="output format (default: text)"
+            )
+
+    commands = sub.choices  # each command's parser, by name
+    commands["analyze"].add_argument(
+        "--key",
+        choices=("genre", "subgenre"),
+        default="genre",
+        help="cross-tab grouping key (default: genre)",
+    )
+    commands["analyze"].add_argument(
+        "--metric",
+        choices=("l1", "hamming"),
+        default="hamming",
+        help="distance metric (default: hamming)",
+    )
+    commands["cluster"].add_argument(
+        "--binary", action="store_true", help="cluster on binarized hallmarks"
+    )
+    commands["term"].add_argument("name", help="term name, e.g. tolnible")
+    return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_OK
-    try:
-        return _COMMANDS[args.command](args, parser)
-    except SystemExit as exc:  # parser.error inside a command handler
+        return _COMMANDS[args.command][2](args, parser)
+    except SystemExit as exc:  # a usage error, from parsing or from a command handler
         return int(exc.code) if exc.code is not None else EXIT_OK
 
 

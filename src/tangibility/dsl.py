@@ -213,9 +213,12 @@ class _Parser:
             self._pos += 1
         return token
 
-    def _expect(self, kind: _TokenKind, context: str) -> _Token:
+    def _expect(self, kind: _TokenKind, context: str, *fields: object) -> _Token:
+        """The next token, which must be of ``kind``; ``context.format(*fields)``
+        words the error, and is only built when the token does not match."""
         token = self._peek()
         if token.kind is not kind:
+            context = context.format(*fields)
             raise _ParseError(
                 f"expected {kind.value} {context}, found {token.describe()}", token.span
             )
@@ -264,7 +267,7 @@ class _Parser:
     def _block(self, block: _Block, where: str) -> dict[str, Any]:
         """Read ``{ key: value ... }``: each known key's value (the last one of a duplicate),
         and in an application its entity blocks under "entity", None where one failed."""
-        self._expect(_TokenKind.LBRACE, f"to open the {block.name} block")
+        self._expect(_TokenKind.LBRACE, "to open the {} block", block.name)
         values: dict[str, Any] = {}
         while self._peek().kind not in (_TokenKind.RBRACE, _TokenKind.EOF):
             token = self._advance()
@@ -275,7 +278,7 @@ class _Parser:
             if key == "entity" and block is _APPLICATION:
                 values.setdefault("entity", []).append(self._parse_entity())
                 continue
-            self._expect(_TokenKind.COLON, f"after {key!r}")
+            self._expect(_TokenKind.COLON, "after {!r}", key)
             read = block.fields.get(key)
             if read is None:
                 self.check.warning(f"unknown key {key!r}", token.span)
@@ -286,11 +289,11 @@ class _Parser:
             if isinstance(read, str):
                 values[key] = getattr(self, read)(key, where)
             else:
-                value_token = self._expect(_VALUE_KINDS[read], f"as the {key}")
+                value_token = self._expect(_VALUE_KINDS[read], "as the {}", key)
                 values[key] = value = value_token.value
                 if key == "id":
                     self.check.app_id(f"application {value}", value, value_token.span)
-        self._expect(_TokenKind.RBRACE, f"to close the {block.name} block")
+        self._expect(_TokenKind.RBRACE, "to close the {} block", block.name)
         return values
 
     def _refs(self, key: str, where: str) -> tuple[str, ...]:
@@ -298,7 +301,7 @@ class _Parser:
 
     def _term(self, key: str, where: str) -> Role | Tangibility | None:
         label, terms = _TERMS[key]
-        token = self._expect(_TokenKind.IDENT, f"naming a {label}")
+        token = self._expect(_TokenKind.IDENT, "naming a {}", label)
         term = terms.get(token.value)
         if term is None:
             self.check.error(f"unknown {label} {token.value!r}", token.span)
@@ -316,7 +319,7 @@ class _Parser:
 
     def _parse_list(self, kinds: tuple[_TokenKind, ...], name: str) -> tuple[Any, ...]:
         """Parse ``[v, v, ...]``, possibly empty, where each value is one token of ``kinds``."""
-        self._expect(_TokenKind.LBRACKET, f"to open the {name}")
+        self._expect(_TokenKind.LBRACKET, "to open the {}", name)
         values: list[Any] = []
         while self._peek().kind in kinds:
             values.append(self._advance().value)
@@ -329,7 +332,7 @@ class _Parser:
                 raise _ParseError(
                     f"expected {expected} after ',', found {token.describe()}", token.span
                 )
-        self._expect(_TokenKind.RBRACKET, f"to close the {name}")
+        self._expect(_TokenKind.RBRACKET, "to close the {}", name)
         return tuple(values)
 
     def _skip_value(self) -> None:
