@@ -8,8 +8,10 @@ form, anything else as the annotation format.
 
 The commands come from one table, ``_COMMANDS``, which gives each its help,
 its --format choices and its handler; the options of a single command are
-added after it.  Every "label: severity: message" line is printed by
-``_print_diagnostics``.
+added after it.  Every command that reads a corpus runs the one handler
+``_corpus_command`` makes from its row's ``build(corpus, args)``, which
+returns the text to write.  Every "label: severity: message" line is
+printed by ``_print_diagnostics``.
 
 Exit codes: 0 success, 1 corpus errors (diagnostics go to stderr as
 "file:line:col: severity: message"), 2 usage errors.
@@ -19,20 +21,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .analysis import Metric
 from .dsl import export_json, import_json, parse_corpus, serialize_corpus
 from .golden import load_golden
-from .hallmark import SymbolicCountError
 from .model import Corpus, Diagnostic
-from .reporting import (
-    analytics_report,
-    class_table,
-    clusters_report,
-    hallmark_table,
-    render,
-)
+from .reporting import analytics_report, class_table, clusters_report, hallmark_table, render
 from .terms import UnknownTermError, parse_term
 
 __all__ = ["main"]
@@ -93,33 +88,25 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
     return corpus, label
 
 
-def _cmd_validate(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    corpus, _ = _load_corpus(args, parser)
-    return EXIT_OK if corpus is not None else EXIT_CORPUS_ERROR
+def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Callable[..., int]:
+    """The handler of a command that loads a corpus and writes ``build(corpus, args)``."""
 
+    def handler(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+        corpus, label = _load_corpus(args, parser)
+        if corpus is None:
+            return EXIT_CORPUS_ERROR
+        try:
+            text = build(corpus, args)
+            if text and sys.stdout is None:  # fd 1 was closed when Python started
+                raise ValueError("standard output is closed")
+        except ValueError as exc:  # a SymbolicCountError too
+            _print_diagnostics([Diagnostic.error(str(exc))], label)
+            return EXIT_CORPUS_ERROR
+        if text:  # validate writes nothing, so it runs with stdout closed
+            sys.stdout.write(text)
+        return EXIT_OK
 
-# Looked up by name at call time, so wrappers installed on this module apply.
-_REPORT_BUILDERS = {
-    "classify": lambda corpus, args: class_table(corpus),
-    "hallmark": lambda corpus, args: hallmark_table(corpus),
-    "cluster": lambda corpus, args: clusters_report(corpus, binary=args.binary),
-    "analyze": lambda corpus, args: analytics_report(
-        corpus, key=args.key, metric=Metric(args.metric)
-    ),
-}
-
-
-def _cmd_report(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    corpus, label = _load_corpus(args, parser)
-    if corpus is None:
-        return EXIT_CORPUS_ERROR
-    try:
-        report = _REPORT_BUILDERS[args.command](corpus, args)
-    except SymbolicCountError as exc:  # analyze --metric l1 on a 'many' count
-        _print_diagnostics([Diagnostic.error(str(exc))], label)
-        return EXIT_CORPUS_ERROR
-    sys.stdout.write(render(report, args.format))
-    return EXIT_OK
+    return handler
 
 
 def _cmd_term(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -132,31 +119,41 @@ def _cmd_term(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return EXIT_OK
 
 
-def _cmd_export(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-    corpus, label = _load_corpus(args, parser)
-    if corpus is None:
-        return EXIT_CORPUS_ERROR
-    if args.format == "json":
-        sys.stdout.write(export_json(corpus) + "\n")
-    else:
-        try:
-            sys.stdout.write(serialize_corpus(corpus))
-        except ValueError as exc:
-            _print_diagnostics([Diagnostic.error(str(exc))], label)
-            return EXIT_CORPUS_ERROR
-    return EXIT_OK
-
-
 # name -> (help, --format choices, handler).  A command with choices None
 # reads no corpus; one with no choices reads a corpus but takes no --format.
+# Builders look names up at call time, so wrappers set on this module apply.
 _COMMANDS = {
-    "validate": ("parse a corpus and report diagnostics", (), _cmd_validate),
-    "classify": ("tangibility class per application", ("text", "csv", "json"), _cmd_report),
-    "hallmark": ("hallmark vector per application", ("text", "csv", "json"), _cmd_report),
-    "analyze": ("full corpus analytics", ("text", "csv", "json", "dot"), _cmd_report),
-    "cluster": ("applications sharing a hallmark", ("text", "csv", "json"), _cmd_report),
+    "validate": ("parse a corpus and report diagnostics", (), _corpus_command(lambda c, a: "")),
+    "classify": (
+        "tangibility class per application",
+        ("text", "csv", "json"),
+        _corpus_command(lambda c, a: render(class_table(c), a.format)),
+    ),
+    "hallmark": (
+        "hallmark vector per application",
+        ("text", "csv", "json"),
+        _corpus_command(lambda c, a: render(hallmark_table(c), a.format)),
+    ),
+    "analyze": (
+        "full corpus analytics",
+        ("text", "csv", "json", "dot"),
+        _corpus_command(
+            lambda c, a: render(analytics_report(c, key=a.key, metric=Metric(a.metric)), a.format)
+        ),
+    ),
+    "cluster": (
+        "applications sharing a hallmark",
+        ("text", "csv", "json"),
+        _corpus_command(lambda c, a: render(clusters_report(c, binary=a.binary), a.format)),
+    ),
     "term": ("expand one of the twelve what-how terms", None, _cmd_term),
-    "export": ("re-emit a corpus canonically", ("text", "json"), _cmd_export),
+    "export": (
+        "re-emit a corpus canonically",
+        ("text", "json"),
+        _corpus_command(
+            lambda c, a: export_json(c) + "\n" if a.format == "json" else serialize_corpus(c)
+        ),
+    ),
 }
 
 

@@ -3,7 +3,8 @@
 Each report holds its data and builds one format on request: text lines, CSV
 tables or a JSON payload; DOT graphs exist for cross-tabs only.  Output is
 deterministic (rows in id order, "\\n" newlines); hallmark components print
-as "N" in text and as "many" in CSV and JSON.
+as "N" in text and as "many" in CSV and JSON, but a cluster's key, one CSV
+cell, prints in its text form.
 """
 
 from __future__ import annotations

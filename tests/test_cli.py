@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import tangibility
+from tangibility import cli
 from tangibility.cli import main
 
 GOOD = """\
@@ -196,6 +197,23 @@ class TestCluster:
         assert ": 2, 10, 19" in out
         assert ": 9, 29" in out
 
+    MANY = "(N, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)"
+    BINARY = "(1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)"
+
+    @pytest.mark.parametrize("command, keys", [("cluster", [MANY]), ("analyze", [MANY, BINARY])])
+    def test_csv_cluster_key_prints_as_in_text(self, command, keys, tmp_path, capsys):
+        # A component cell prints "many"; a cluster's key is one cell, in text form.
+        entity = 'entity "e" { what: datum how: tangible count: many }'
+        path = tmp_path / "many.corpus"
+        path.write_text(
+            "".join(f'application "{n}" {{ id: {i} {entity} }}\n' for i, n in ((1, "A"), (2, "B"))),
+            encoding="utf-8",
+        )
+        assert main([command, str(path), "--format", "csv"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        for key in keys:
+            assert f'"{key}",1 2' in lines
+
 
 class TestTerm:
     def test_known(self, capsys):
@@ -250,6 +268,17 @@ class TestExport:
         path.write_text(first, encoding="utf-8")
         assert main(["export", str(path)]) == 0
         assert capsys.readouterr().out == first
+
+    def test_refusal_is_one_error_line(self, monkeypatch, capsys):
+        def refuse(corpus):
+            raise ValueError("string 'a\nb' contains a line break; not representable")
+
+        monkeypatch.setattr(cli, "serialize_corpus", refuse)
+        assert main(["export", "--golden"]) == 1
+        assert capsys.readouterr() == (
+            "",
+            "<golden>: error: string 'a\nb' contains a line break; not representable\n",
+        )
 
 
 class TestUsage:
@@ -589,3 +618,25 @@ def _run(argv: list[str], data: bytes, locale: str | None = None) -> subprocess.
         capture_output=True,
         env=env,
     )
+
+
+@pytest.mark.parametrize(
+    "command, code, stderr",
+    [
+        ("validate", 0, b""),
+        ("classify", 1, b"<golden>: error: standard output is closed\n"),
+    ],
+    ids=["validate", "classify"],
+)
+def test_closed_stdout(command, code, stderr):
+    """A command that writes nothing runs with fd 1 closed; one that writes
+    prints one error line instead of a traceback."""
+    src = Path(tangibility.__file__).parent.parent
+    result = subprocess.run(
+        [sys.executable, "-m", "tangibility.cli", command, "--golden"],
+        stdin=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        preexec_fn=lambda: os.close(1),
+    )
+    assert (result.returncode, result.stderr) == (code, stderr)
