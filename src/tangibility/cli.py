@@ -10,11 +10,14 @@ The commands come from one table, ``_COMMANDS``, which gives each its help,
 its --format choices and its handler; the options of a single command are
 added after it.  Every command that reads a corpus runs the one handler
 ``_corpus_command`` makes from its row's ``build(corpus, args)``, which
-returns the text to write.  Every "label: severity: message" line is
-printed by ``_print_diagnostics``.
+returns the text to write.  Every command's output is written by
+``_write``, as UTF-8 with "\\n" line ends whatever the locale, and every
+error line is printed by ``_print_diagnostics``.
 
-Exit codes: 0 success, 1 corpus errors (diagnostics go to stderr as
-"file:line:col: severity: message"), 2 usage errors.
+Exit codes: 0 success; 1 corpus errors (diagnostics go to stderr as
+"file:line:col: severity: message"), a refused report, a closed stdin or
+stdout, or a failed write (each one "label: error: message" line); 2 usage
+errors.
 """
 
 from __future__ import annotations
@@ -37,14 +40,34 @@ EXIT_CORPUS_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _print_diagnostics(diagnostics: Sequence[Diagnostic], label: str) -> None:
+def _print_diagnostics(diagnostics: Sequence[Diagnostic], label: str | None = None) -> None:
+    """The only code that touches sys.stderr: one "label:line:col: severity:
+    message" line per diagnostic, or "severity: message" without a label."""
     for diagnostic in diagnostics:
-        severity = diagnostic.severity.value
-        if diagnostic.span is not None:
-            position = f":{diagnostic.span.line}:{diagnostic.span.column}"
-        else:
-            position = ""
-        print(f"{label}{position}: {severity}: {diagnostic.message}", file=sys.stderr)
+        span = diagnostic.span
+        position = f":{span.line}:{span.column}" if span is not None else ""
+        prefix = f"{label}{position}: " if label is not None else ""
+        print(f"{prefix}{diagnostic.severity.value}: {diagnostic.message}", file=sys.stderr)
+
+
+def _write(text: str, label: str | None = None) -> int:
+    """The only code that touches sys.stdout.  Empty output touches nothing,
+    so validate runs with fd 1 closed; a closed stdout or a failed write is
+    one error line and exit 1."""
+    if not text:
+        return EXIT_OK
+    try:
+        if sys.stdout is None:  # fd 1 was closed when Python started
+            raise OSError("standard output is closed")
+        if hasattr(sys.stdout, "buffer"):
+            sys.stdout.buffer.write(text.encode("utf-8"))
+        else:  # a text-only stream, such as io.StringIO
+            sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        _print_diagnostics([Diagnostic.error(exc.strerror or str(exc))], label)
+        return EXIT_CORPUS_ERROR
+    return EXIT_OK
 
 
 def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Corpus | None, str]:
@@ -63,21 +86,20 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
         return load_golden(), "<golden>"
 
     # Bytes that are not UTF-8 are read as lone surrogates, which the readers refuse.
-    if args.input == "-":
-        label = "<stdin>"
-        stream = getattr(sys.stdin, "buffer", None)
-        if stream is None:  # a text-only stream, such as io.StringIO
-            text = sys.stdin.read()
-        else:
-            text = stream.read().decode("utf-8", "surrogateescape")
-    else:
-        label = args.input
-        try:
+    label = "<stdin>" if args.input == "-" else args.input
+    try:
+        if args.input != "-":
             with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
                 text = handle.read()
-        except OSError as exc:
-            _print_diagnostics([Diagnostic.error(exc.strerror or str(exc))], label)
-            return None, label
+        elif sys.stdin is None:  # fd 0 was closed when Python started
+            raise OSError("standard input is closed")
+        elif hasattr(sys.stdin, "buffer"):
+            text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
+        else:  # a text-only stream, such as io.StringIO
+            text = sys.stdin.read()
+    except OSError as exc:
+        _print_diagnostics([Diagnostic.error(exc.strerror or str(exc))], label)
+        return None, label
 
     text = text.removeprefix("\ufeff")  # a byte order mark is not content
     reader = import_json if text.lstrip().startswith("{") else parse_corpus
@@ -97,14 +119,10 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
             return EXIT_CORPUS_ERROR
         try:
             text = build(corpus, args)
-            if text and sys.stdout is None:  # fd 1 was closed when Python started
-                raise ValueError("standard output is closed")
         except ValueError as exc:  # a SymbolicCountError too
             _print_diagnostics([Diagnostic.error(str(exc))], label)
             return EXIT_CORPUS_ERROR
-        if text:  # validate writes nothing, so it runs with stdout closed
-            sys.stdout.write(text)
-        return EXIT_OK
+        return _write(text, label)
 
     return handler
 
@@ -113,10 +131,9 @@ def _cmd_term(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     try:
         term = parse_term(args.name)
     except UnknownTermError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_diagnostics([Diagnostic.error(str(exc))])
         return EXIT_USAGE
-    print(f'{term.name} = {term.role.value} × {term.tangibility.value} ("{term.gloss}")')
-    return EXIT_OK
+    return _write(f'{term.name} = {term.role.value} × {term.tangibility.value} ("{term.gloss}")\n')
 
 
 # name -> (help, --format choices, handler).  A command with choices None

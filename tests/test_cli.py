@@ -458,6 +458,23 @@ class TestInputEncoding:
         assert (result.returncode, result.stderr) == (0, b"")
         assert '"thing \u00e9\u00d7\U0001f600"'.encode() in result.stdout
 
+    @pytest.mark.parametrize(
+        "argv, data, shown",
+        [
+            (["term", "tolnible"], "", "×"),
+            (["classify", "-"], GOOD.replace('"Demo"', '"Žebřík 日本"'), "Žebřík 日本"),
+        ],
+        ids=["term", "classify"],
+    )
+    def test_output_is_utf8_whatever_the_stream_encoding(self, argv, data, shown):
+        outputs = {}
+        for encoding in ("utf-8", "ascii", "latin-1"):
+            result = _run(argv, data.encode(), env={"PYTHONIOENCODING": encoding})
+            assert (result.returncode, result.stderr) == (0, b"")
+            outputs[encoding] = result.stdout
+        assert outputs["ascii"] == outputs["latin-1"] == outputs["utf-8"]
+        assert shown.encode() in outputs["utf-8"]
+
 
 _LIMIT = sys.get_int_max_str_digits()
 _NINES = "9" * _LIMIT  # one more digit than the largest total that loads
@@ -605,38 +622,68 @@ def _validate_stdin(text: str) -> subprocess.CompletedProcess:
     )
 
 
-def _run(argv: list[str], data: bytes, locale: str | None = None) -> subprocess.CompletedProcess:
+def _run(
+    argv: list[str],
+    data: bytes = b"",
+    locale: str | None = None,
+    *,
+    env: dict[str, str] | None = None,
+    stdout: object = subprocess.PIPE,
+    closed_fd: int | None = None,
+) -> subprocess.CompletedProcess:
     """`tangibility <argv>` in a fresh interpreter on raw stdin bytes, under
-    ``locale`` (LC_ALL) when given."""
+    ``locale`` (LC_ALL) and the variables ``env`` when given, writing to
+    ``stdout``, with ``closed_fd`` closed before it starts."""
     src = Path(tangibility.__file__).parent.parent
-    env = {**os.environ, "PYTHONPATH": str(src)}
+    env = {**os.environ, **(env or {}), "PYTHONPATH": str(src)}
     if locale is not None:
         env["LC_ALL"] = locale
     return subprocess.run(
         [sys.executable, "-m", "tangibility.cli", *argv],
         input=data,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         env=env,
+        preexec_fn=None if closed_fd is None else lambda: os.close(closed_fd),
     )
 
 
 @pytest.mark.parametrize(
-    "command, code, stderr",
+    "argv, code, stderr",
     [
-        ("validate", 0, b""),
-        ("classify", 1, b"<golden>: error: standard output is closed\n"),
+        (["validate", "--golden"], 0, b""),
+        (["classify", "--golden"], 1, b"<golden>: error: standard output is closed\n"),
+        (["term", "tolnible"], 1, b"error: standard output is closed\n"),
     ],
-    ids=["validate", "classify"],
+    ids=["validate", "classify", "term"],
 )
-def test_closed_stdout(command, code, stderr):
+def test_closed_stdout(argv, code, stderr):
     """A command that writes nothing runs with fd 1 closed; one that writes
     prints one error line instead of a traceback."""
-    src = Path(tangibility.__file__).parent.parent
-    result = subprocess.run(
-        [sys.executable, "-m", "tangibility.cli", command, "--golden"],
-        stdin=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        env={**os.environ, "PYTHONPATH": str(src)},
-        preexec_fn=lambda: os.close(1),
-    )
+    result = _run(argv, closed_fd=1)
     assert (result.returncode, result.stderr) == (code, stderr)
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, stderr",
+    [
+        (["classify", "--golden"], b"<golden>: error: No space left on device\n"),
+        (["term", "tolnible"], b"error: No space left on device\n"),
+    ],
+    ids=["classify", "term"],
+)
+def test_failed_write(argv, stderr):
+    """A write that fails is one error line and exit 1, not a traceback."""
+    with open("/dev/full", "wb") as full:
+        result = _run(argv, stdout=full)
+    assert (result.returncode, result.stderr) == (1, stderr)
+
+
+def test_closed_stdin():
+    result = _run(["validate", "-"], closed_fd=0)
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1,
+        b"",
+        b"<stdin>: error: standard input is closed\n",
+    )
