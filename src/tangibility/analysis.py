@@ -269,18 +269,15 @@ def cross_tab(corpus: Corpus, key: str) -> CrossTab:
     grouped: dict[str, dict[str, list[int]]] = {}
     for app, mark in _by_id(corpus):
         label = classify(mark).label
-        apps.append(
-            CrossTabApp(
-                id=app.id,
-                name=app.name,
-                genre=app.genre if app.genre is not None else NONE_LABEL,
-                subgenre=app.subgenre if app.subgenre is not None else NONE_LABEL,
-                class_label=label,
-            )
+        entry = CrossTabApp(
+            id=app.id,
+            name=app.name,
+            genre=app.genre if app.genre is not None else NONE_LABEL,
+            subgenre=app.subgenre if app.subgenre is not None else NONE_LABEL,
+            class_label=label,
         )
-        row_value = app.genre if key == "genre" else app.subgenre
-        row_label = row_value if row_value is not None else NONE_LABEL
-        cells = grouped.setdefault(row_label, {c: [] for c in CLASS_LABELS})
+        apps.append(entry)
+        cells = grouped.setdefault(getattr(entry, key), {c: [] for c in CLASS_LABELS})
         cells[label].append(app.id)
     labels = sorted(grouped, key=lambda lb: (lb == NONE_LABEL, lb))
     rows = tuple(

@@ -1,23 +1,23 @@
 """Command-line interface.
 
 One corpus in, one report out.  Input is a file path, "-" for stdin, or
---golden for the bundled reference corpus.  Input must be UTF-8 (a byte
-that is not is an error at its line and column).  One leading byte order
-mark is dropped; then text starting with "{" is read as the JSON interchange
-form, anything else as the annotation format.
+--golden for the bundled reference corpus.  A file and stdin are read alike:
+UTF-8 (a byte that is not is an error at its line and column), "\\r\\n" and a
+lone "\\r" read as "\\n", one leading byte order mark dropped.  Text starting
+with "{" is JSON interchange, anything else the annotation format.
 
 The commands come from one table, ``_COMMANDS``, which gives each its help,
 its --format choices and its handler; the options of a single command are
 added after it.  Every command that reads a corpus runs the one handler
 ``_corpus_command`` makes from its row's ``build(corpus, args)``, which
-returns the text to write.  Every command's output is written by
-``_write``, as UTF-8 with "\\n" line ends whatever the locale, and every
-error line is printed by ``_print_diagnostics``.
+returns the text to write.  Every command's output, and the help, is
+written by ``_write``, as UTF-8 with "\\n" line ends whatever the locale,
+and every error line is printed by ``_print_diagnostics``.
 
 Exit codes: 0 success; 1 corpus errors (diagnostics go to stderr as
 "file:line:col: severity: message"), a refused report, a closed stdin or
-stdout, or a failed write (each one "label: error: message" line); 2 usage
-errors.
+stdout, or a failed write, of the help too (each one "label: error:
+message" line); 2 usage errors.
 """
 
 from __future__ import annotations
@@ -85,22 +85,23 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
     if args.golden:
         return load_golden(), "<golden>"
 
-    # Bytes that are not UTF-8 are read as lone surrogates, which the readers refuse.
     label = "<stdin>" if args.input == "-" else args.input
     try:
         if args.input != "-":
-            with open(args.input, "r", encoding="utf-8", errors="surrogateescape") as handle:
-                text = handle.read()
+            with open(args.input, "rb") as handle:
+                data = handle.read()
         elif sys.stdin is None:  # fd 0 was closed when Python started
             raise OSError("standard input is closed")
-        elif hasattr(sys.stdin, "buffer"):
-            text = sys.stdin.buffer.read().decode("utf-8", "surrogateescape")
-        else:  # a text-only stream, such as io.StringIO
-            text = sys.stdin.read()
+        else:  # bytes, or a str from a text-only stream such as io.StringIO
+            data = getattr(sys.stdin, "buffer", sys.stdin).read()
     except OSError as exc:
         _print_diagnostics([Diagnostic.error(exc.strerror or str(exc))], label)
         return None, label
 
+    # Bytes that are not UTF-8 are read as lone surrogates, which the readers refuse.
+    text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
+    if "\r" in text:  # "\r\n" and a lone "\r" end a line, as in a text-mode open
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     text = text.removeprefix("\ufeff")  # a byte order mark is not content
     reader = import_json if text.lstrip().startswith("{") else parse_corpus
     corpus, diagnostics = reader(text)
@@ -174,8 +175,15 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose help, its commands' too, goes through _write."""
+
+    def print_help(self, file: object = None) -> None:
+        raise SystemExit(_write(self.format_help()))
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="tangibility",
         description="Classify tangible-interface specimens and analyze annotated corpora.",
     )

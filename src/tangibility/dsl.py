@@ -135,12 +135,12 @@ _TERMS = {"what": ("role", _ROLES), "how": ("tangibility", _TANGIBILITIES)}
 # A string up to its closing quote.  A line break, "\r" included, ends it early.
 _OPEN_STRING = r' " (?: [^"\\\n\r] | \\["\\] )* '
 # One group per token kind, named after it, plus whitespace and comments to
-# skip and a catch-all error.  An identifier is \w+ (isalnum() or "_") whose
-# first character _lex checks: isalpha() or "_".
+# skip (a comment ends at "\r" too, as a string does) and a catch-all error.
+# An identifier is \w+ (isalnum() or "_"); _lex wants isalpha() or "_" first.
 _TOKEN = re.compile(
     r"""
       (?P<NEWLINE> \n )
-    | (?P<SKIP> [ \t\r]+ | \#[^\n]* )
+    | (?P<SKIP> [ \t\r]+ | \#[^\r\n]* )
     | (?P<STRING> """ + _OPEN_STRING + r""" " )
     | (?P<INTEGER> [0-9]+ )
     | (?P<IDENT> \w+ )

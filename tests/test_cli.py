@@ -289,6 +289,10 @@ class TestUsage:
         assert main(["frobnicate"]) == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_help_is_written_like_any_output(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr() == (cli._build_parser().format_help(), "")
+
 
 # The --format values each corpus command takes; validate takes none.
 FORMATS = {
@@ -364,29 +368,29 @@ class TestInputEncoding:
         assert (captured.out, captured.err) == (canonical, "")
 
     def test_deeply_nested_json_is_a_diagnostic(self):
-        result = _validate_stdin('{"applications":' + "[" * 100_000)
+        result = _run(["validate", "-"], b'{"applications":' + b"[" * 100_000)
         assert result.returncode == 1
-        assert "Traceback" not in result.stderr
-        assert result.stderr == "<stdin>: error: invalid JSON: nested too deeply\n"
+        assert b"Traceback" not in result.stderr
+        assert result.stderr == b"<stdin>: error: invalid JSON: nested too deeply\n"
 
     @pytest.mark.parametrize(
         "text, expected",
         [
             (
-                'application "a" {\n  id: ' + "1" * 5_000 + "\n}\n",
-                "<stdin>:2:7: error: integer longer than 4300 digits\n",
+                b'application "a" {\n  id: ' + b"1" * 5_000 + b"\n}\n",
+                b"<stdin>:2:7: error: integer longer than 4300 digits\n",
             ),
             (
-                '{"applications":[{"id":' + "1" * 5_000 + ',"name":"a"}]}',
-                "<stdin>: error: invalid JSON: integer longer than 4300 digits\n",
+                b'{"applications":[{"id":' + b"1" * 5_000 + b',"name":"a"}]}',
+                b"<stdin>: error: invalid JSON: integer longer than 4300 digits\n",
             ),
         ],
         ids=["text", "json"],
     )
     def test_long_integer_is_a_diagnostic(self, text, expected):
-        result = _validate_stdin(text)
+        result = _run(["validate", "-"], text)
         assert result.returncode == 1
-        assert "Traceback" not in result.stderr
+        assert b"Traceback" not in result.stderr
         assert result.stderr == expected
 
     @pytest.mark.parametrize(
@@ -610,18 +614,6 @@ def test_every_command_agrees_with_validate(name, monkeypatch, capsys):
     assert exits == expected
 
 
-def _validate_stdin(text: str) -> subprocess.CompletedProcess:
-    """`tangibility validate -` in a fresh interpreter, so a crash shows."""
-    src = Path(tangibility.__file__).parent.parent
-    return subprocess.run(
-        [sys.executable, "-m", "tangibility.cli", "validate", "-"],
-        input=text,
-        capture_output=True,
-        text=True,
-        env={**os.environ, "PYTHONPATH": str(src)},
-    )
-
-
 def _run(
     argv: list[str],
     data: bytes = b"",
@@ -631,9 +623,9 @@ def _run(
     stdout: object = subprocess.PIPE,
     closed_fd: int | None = None,
 ) -> subprocess.CompletedProcess:
-    """`tangibility <argv>` in a fresh interpreter on raw stdin bytes, under
-    ``locale`` (LC_ALL) and the variables ``env`` when given, writing to
-    ``stdout``, with ``closed_fd`` closed before it starts."""
+    """`tangibility <argv>` in a fresh interpreter, so a crash shows, on raw
+    stdin bytes, under ``locale`` (LC_ALL) and the variables ``env`` when
+    given, writing to ``stdout``, with ``closed_fd`` closed before it starts."""
     src = Path(tangibility.__file__).parent.parent
     env = {**os.environ, **(env or {}), "PYTHONPATH": str(src)}
     if locale is not None:
@@ -654,8 +646,10 @@ def _run(
         (["validate", "--golden"], 0, b""),
         (["classify", "--golden"], 1, b"<golden>: error: standard output is closed\n"),
         (["term", "tolnible"], 1, b"error: standard output is closed\n"),
+        (["--help"], 1, b"error: standard output is closed\n"),
+        (["classify", "--help"], 1, b"error: standard output is closed\n"),
     ],
-    ids=["validate", "classify", "term"],
+    ids=["validate", "classify", "term", "help", "classify help"],
 )
 def test_closed_stdout(argv, code, stderr):
     """A command that writes nothing runs with fd 1 closed; one that writes
@@ -670,8 +664,10 @@ def test_closed_stdout(argv, code, stderr):
     [
         (["classify", "--golden"], b"<golden>: error: No space left on device\n"),
         (["term", "tolnible"], b"error: No space left on device\n"),
+        (["--help"], b"error: No space left on device\n"),
+        (["classify", "--help"], b"error: No space left on device\n"),
     ],
-    ids=["classify", "term"],
+    ids=["classify", "term", "help", "classify help"],
 )
 def test_failed_write(argv, stderr):
     """A write that fails is one error line and exit 1, not a traceback."""
@@ -687,3 +683,27 @@ def test_closed_stdin():
         b"",
         b"<stdin>: error: standard input is closed\n",
     )
+
+
+# Inputs read from a file and from stdin, each with every line-end convention:
+# name -> (text with "\n" line ends, exit code).
+_GOLDEN = Path(tangibility.__file__).parent / "data" / "golden.corpus"
+PARITY = {
+    "golden": (_GOLDEN.read_text("utf-8"), 0),
+    "id 0 on line 2": (GOOD.replace("id: 1", "id: 0"), 1),
+    "JSON syntax error": ('{\n  "applications": [\n    {"id": 1,}\n  ]\n}\n', 1),
+}
+
+
+@pytest.mark.parametrize("command", ["validate", "classify"])
+@pytest.mark.parametrize("case", PARITY)
+@pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_file_and_stdin_are_read_alike(command, case, line_end, tmp_path):
+    text, code = PARITY[case]
+    data = text.replace("\n", line_end).encode()
+    path = tmp_path / "input.corpus"
+    path.write_bytes(data)
+    from_file, from_stdin = _run([command, str(path)]), _run([command, "-"], data)
+    assert from_file.returncode == from_stdin.returncode == code
+    assert from_file.stdout == from_stdin.stdout
+    assert from_file.stderr.replace(str(path).encode(), b"<stdin>") == from_stdin.stderr

@@ -6,6 +6,7 @@ import dataclasses
 import json
 import random
 import sys
+from importlib import resources
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +21,12 @@ from tangibility import (
     Tangibility,
     export_json,
     import_json,
+    load_golden,
     parse_corpus,
     serialize_corpus,
 )
 from tangibility.dsl import _TOKEN, _lex
+from tangibility.golden import GOLDEN_RESOURCE
 from tangibility.model import Diagnostic, SourceSpan
 
 MINIMAL = """
@@ -859,6 +862,11 @@ class TestLexer:
         assert corpus == parse_corpus(text.replace("\r\n", "\n"))[0]
         _, diagnostics = parse_corpus(text.replace("id: 1", "id: 0"))
         assert diagnostics[0].span == SourceSpan(2, 7)
+
+    def test_carriage_return_ends_a_comment(self):
+        golden = resources.files("tangibility").joinpath(GOLDEN_RESOURCE).read_text("utf-8")
+        assert golden.startswith("#")
+        assert parse_corpus(golden.replace("\n", "\r")) == (load_golden(), [])
 
     def test_unsupported_escape_span(self):
         assert parse_corpus('application "ab\\n" {}')[1] == [
