@@ -2,9 +2,10 @@
 
 One corpus in, one report out.  Input is a file path, "-" for stdin, or
 --golden for the bundled reference corpus.  A file and stdin are read alike:
-UTF-8 (a byte that is not is an error at its line and column), "\\r\\n" and a
-lone "\\r" read as "\\n", one leading byte order mark dropped.  Text starting
-with "{" is JSON interchange, anything else the annotation format.
+UTF-8 (a byte that is not is an error at its line and column), one leading
+byte order mark dropped.  Text starting with "{" is JSON interchange,
+anything else the annotation format; both readers take "\\r\\n" and a lone
+"\\r" as a line end.
 
 The commands come from one table, ``_COMMANDS``, which gives each its help,
 its --format choices and its handler; the options of a single command are
@@ -100,8 +101,6 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
 
     # Bytes that are not UTF-8 are read as lone surrogates, which the readers refuse.
     text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
-    if "\r" in text:  # "\r\n" and a lone "\r" end a line, as in a text-mode open
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     text = text.removeprefix("\ufeff")  # a byte order mark is not content
     reader = import_json if text.lstrip().startswith("{") else parse_corpus
     corpus, diagnostics = reader(text)

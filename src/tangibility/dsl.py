@@ -16,15 +16,16 @@ The text format is line-oriented and brace-delimited:
       }
     }
 
-Strings are double-quoted and hold no line break (neither \\n nor \\r); the
-only escapes are \\" and \\\\.  The JSON reader refuses a line break in the
-same fields, so whatever loads can be written as text.  `what` and `how`
-are mandatory per entity; `count` defaults to 1.  Unknown keys draw warnings
-and are skipped, so the format can grow without breaking old readers; their
-value is a scalar or a list of scalars.  Any error leaves nothing
-half-loaded: `parse_corpus` then returns an empty corpus alongside the
-diagnostics.  A lone surrogate in either reader's input is one error,
-`input is not valid UTF-8`, at its line and column.
+Both readers first read "\\r\\n" and a lone "\\r" as "\\n" (`_line_ends`).
+Strings are double-quoted and hold no line break; the only escapes are \\"
+and \\\\.  The JSON reader refuses a line break in the same fields, so
+whatever loads can be written as text.  `what` and `how` are mandatory per
+entity; `count` defaults to 1.  Unknown keys draw warnings and are skipped,
+so the format can grow without breaking old readers; their value is a
+scalar or a list of scalars.  Any error leaves nothing half-loaded:
+`parse_corpus` then returns an empty corpus alongside the diagnostics.  A
+lone surrogate in either reader's input is one error, `input is not valid
+UTF-8`, at its line and column.
 
 The field table (`_APPLICATION`, `_ENTITY`) is the one place the schema
 lives.  The text parser reads both block kinds with one loop over it; the
@@ -38,8 +39,12 @@ for the application to close.
 `serialize_corpus` writes the canonical form shown above: two-space
 indentation, fields in the order id, year, genre, subgenre, refs, entities,
 defaults omitted.  Parsing the canonical form reproduces the corpus
-exactly.  The JSON functions carry the same data in a one-object schema for
-interchange with other tooling.
+exactly.  Canonical text, with blank and `#` comment lines between
+applications, is read by one regex match per block (`_read_canonical`, its
+patterns built from the field table).  Any other text, and any with a
+finding, goes to the token parser (`_parse_tokens`), the only source of
+diagnostics.  The JSON functions carry the same data in a one-object schema
+for interchange with other tooling.
 """
 
 from __future__ import annotations
@@ -132,16 +137,16 @@ _ENTITY = _Block(
 _VALUE_KINDS = {int: _TokenKind.INTEGER, str: _TokenKind.STRING}
 _TERMS = {"what": ("role", _ROLES), "how": ("tangibility", _TANGIBILITIES)}
 
-# A string up to its closing quote.  A line break, "\r" included, ends it early.
-_OPEN_STRING = r' " (?: [^"\\\n\r] | \\["\\] )* '
+# A string's characters up to its closing quote; a line break ends it early.
+_STRING_BODY = r'(?:[^"\\\n]|\\["\\])*'
 # One group per token kind, named after it, plus whitespace and comments to
-# skip (a comment ends at "\r" too, as a string does) and a catch-all error.
+# skip and a catch-all error.
 # An identifier is \w+ (isalnum() or "_"); _lex wants isalpha() or "_" first.
 _TOKEN = re.compile(
     r"""
       (?P<NEWLINE> \n )
-    | (?P<SKIP> [ \t\r]+ | \#[^\r\n]* )
-    | (?P<STRING> """ + _OPEN_STRING + r""" " )
+    | (?P<SKIP> [ \t]+ | \#[^\n]* )
+    | (?P<STRING> " """ + _STRING_BODY + r""" " )
     | (?P<INTEGER> [0-9]+ )
     | (?P<IDENT> \w+ )
     | (?P<LBRACE> \{ ) | (?P<RBRACE> \} ) | (?P<LBRACKET> \[ ) | (?P<RBRACKET> \] )
@@ -150,8 +155,13 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
-_OPEN_STRING_PREFIX = re.compile(_OPEN_STRING, re.VERBOSE)
+_OPEN_STRING_PREFIX = re.compile('"' + _STRING_BODY)
 _ESCAPE = re.compile(r'\\(["\\])')
+
+
+def _unescape(body: str | None) -> str | None:
+    """The value of a string whose body (between the quotes) is ``body``."""
+    return _ESCAPE.sub(r"\1", body) if body and "\\" in body else body
 
 
 def _lex(text: str) -> list[_Token]:
@@ -169,9 +179,7 @@ def _lex(text: str) -> list[_Token]:
             raise _lex_error(text, match.start(), SourceSpan(line, column))
         value: Any = raw
         if kind == "STRING":
-            value = raw[1:-1]
-            if "\\" in value:
-                value = _ESCAPE.sub(r"\1", value)
+            value = _unescape(raw[1:-1])
         elif kind == "INTEGER":
             try:
                 value = int(raw)
@@ -345,6 +353,64 @@ class _Parser:
             raise _ParseError(f"expected a value, found {token.describe()}", token.span)
 
 
+# The canonical reader's patterns; blank and comment lines may come between applications.
+_QUOTED = f'"({_STRING_BODY})"'
+_QUOTED_LIST = f'\\[("{_STRING_BODY}"(?:, "{_STRING_BODY}")*)\\]'
+_VALUE_PATTERNS = {int: "([0-9]+)", str: _QUOTED, "_refs": _QUOTED_LIST, "_count": "([0-9]+|many)"}
+_GAP = r"(?:\#[^\n]*\n|\n)*"
+
+
+def _canonical(block: _Block, indent: str) -> str:
+    """The pattern of the block's first lines as serialize_corpus writes them: its
+    name, then each known key in table order, optional unless always written."""
+    lines = [f"{indent}{block.name} {_QUOTED} \\{{\n"]
+    for key, read in block.fields.items():
+        value = f"({'|'.join(_TERMS[key][1])})" if key in _TERMS else _VALUE_PATTERNS[read]
+        line = f"{indent}  {key}: {value}\n"
+        lines.append(line if key in ("id", *_TERMS) else f"(?:{line})?")
+    return "".join(lines)
+
+
+_CANONICAL_APPLICATION = re.compile(_GAP + _canonical(_APPLICATION, ""))
+_CANONICAL_ENTITY = re.compile(_canonical(_ENTITY, "  ") + "  \\}\n")
+_CANONICAL_END = re.compile(_GAP + r"(?:\#[^\n]*)?")
+_QUOTED_ITEM = re.compile(_QUOTED)
+_COUNTS = {None: Count(1), "many": Count.MANY}
+
+
+def _read_canonical(text: str) -> tuple[Corpus, list[Diagnostic]] | None:
+    """``text`` read if it is canonical and has no finding, else None.  The checks
+    are the token parser's, unlocated: on a finding it reads the text again."""
+    check, where, applications, pos = InvariantChecker(), "", [], 0
+    try:
+        while (match := _CANONICAL_APPLICATION.match(text, pos)) is not None:
+            name, app_id, year, genre, subgenre, refs = match.groups()
+            check.app_id(where, app_id := int(app_id))
+            entities, pos = [], match.end()
+            while (match := _CANONICAL_ENTITY.match(text, pos)) is not None:
+                entity, what, how, count, note = match.groups()
+                check.name(where, entity := _unescape(entity))
+                count = _COUNTS[count] if count in _COUNTS else Count(int(count))
+                check.count(where, count.value)
+                role, tangibility = _ROLES[what], _TANGIBILITIES[how]
+                entities.append(Entity(entity, role, tangibility, count, _unescape(note)))
+                pos = match.end()
+            if not text.startswith("}\n", pos):
+                return None
+            pos += 2
+            check.name(where, name := _unescape(name), unique=True)
+            check.entity_records(where, len(entities))
+            check.count_total(where, entities)
+            refs = tuple(map(_unescape, _QUOTED_ITEM.findall(refs or "")))
+            fields = year and int(year), _unescape(genre), _unescape(subgenre), refs
+            applications.append(Application(app_id, name, *fields, tuple(entities)))
+    except ValueError:  # more digits than sys.get_int_max_str_digits()
+        return None
+    if check.findings or _CANONICAL_END.fullmatch(text, pos) is None:
+        return None
+    return Corpus(tuple(applications)), []
+
+
 def _check_utf8(text: str) -> None:
     """Refuse a lone surrogate, which no UTF-8 output can hold: a byte that
     is not UTF-8, decoded with "surrogateescape", becomes one."""
@@ -352,6 +418,11 @@ def _check_utf8(text: str) -> None:
     if bad is not None:
         span = SourceSpan(text.count("\n", 0, bad) + 1, bad - text.rfind("\n", 0, bad))
         raise _ParseError("input is not valid UTF-8", span)
+
+
+def _line_ends(text: str) -> str:
+    """``text`` with "\\r\\n" and a lone "\\r" read as "\\n", as a text-mode open reads them."""
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def _all_or_nothing(corpus: Corpus, check: InvariantChecker) -> tuple[Corpus, list[Diagnostic]]:
@@ -365,8 +436,17 @@ def parse_corpus(text: str) -> tuple[Corpus, list[Diagnostic]]:
     returned corpus is empty: a corpus either loads whole or not at all.
     Warnings (unknown keys, entity-less applications) do not block loading.
     """
+    text = _line_ends(text)
     try:
         _check_utf8(text)
+    except _ParseError as exc:
+        return Corpus(), [exc.diagnostic]
+    return _read_canonical(text) or _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> tuple[Corpus, list[Diagnostic]]:
+    """Read any text, and report every finding at its location."""
+    try:
         parser = _Parser(_lex(text))
         corpus = parser.parse()
     except _ParseError as exc:
@@ -557,6 +637,7 @@ class _JsonReader:
 def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
     """Read the JSON interchange form.  Same all-or-nothing contract as parse_corpus."""
     reader = _JsonReader()
+    text = _line_ends(text)
     try:
         _check_utf8(text)
         corpus = reader.read(json.loads(text))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import re
 import sys
 from importlib import resources
 
@@ -25,7 +26,8 @@ from tangibility import (
     parse_corpus,
     serialize_corpus,
 )
-from tangibility.dsl import _TOKEN, _lex
+from tangibility import dsl
+from tangibility.dsl import _TOKEN, _lex, _parse_tokens
 from tangibility.golden import GOLDEN_RESOURCE
 from tangibility.model import Diagnostic, SourceSpan
 
@@ -984,3 +986,126 @@ def test_loaded_json_round_trips_through_text(apps):
     reparsed, diagnostics = parse_corpus(serialize_corpus(corpus))
     assert _errors(diagnostics) == []
     assert reparsed == corpus
+
+
+def test_a_lone_carriage_return_ends_a_line_in_both_readers():
+    text = f'application "a" {{\r  id: 0\r  {ENTITY}\r}}\r'
+    assert parse_corpus(text) == parse_corpus(text.replace("\r", "\n"))
+    assert parse_corpus(text)[1][0].span == SourceSpan(2, 7)
+    broken = '{"applications": [\r  {"id": 1,\r   "name": }\r]}'
+    assert import_json(broken) == import_json(broken.replace("\r", "\n"))
+    assert import_json(broken)[1][0].span == SourceSpan(3, 12)
+    assert import_json(broken.replace("\r", "\r\n"))[1][0].span == SourceSpan(3, 12)
+
+
+# The canonical text is read by a block recognizer, any other text by the token
+# parser (_parse_tokens), which is the reference for every text below.
+
+
+def _canonical_text(seed):
+    """serialize_corpus of a random corpus whose applications all have entities."""
+    corpus = random_corpus(random.Random(seed), max_apps=6)
+    return serialize_corpus(Corpus(tuple(a for a in corpus.applications if a.entities)))
+
+
+@given(
+    st.integers(0, 2**32),
+    st.sampled_from([None, "  id", "    count"]),
+    st.sampled_from([_LIMIT, _LIMIT + 1]),
+)
+@settings(max_examples=200)
+def test_canonical_text_reads_as_the_token_parser_reads_it(seed, key, digits):
+    text = _canonical_text(seed)
+    if key is not None:
+        text = re.sub(f"(?m)^{key}: [0-9]+$", f"{key}: {'7' * digits}", text, count=1)
+    assert parse_corpus(text) == _parse_tokens(text)
+
+
+def _mutate(lines, kind, rng):
+    """Change the canonical ``lines`` in place by one edit of ``kind``."""
+    def pick(prefix):
+        found = [i for i, line in enumerate(lines) if line.startswith(prefix)]
+        return rng.choice(found) if found else None
+
+    at = rng.randrange(len(lines))
+    if kind == "delete":
+        del lines[at]
+    elif kind == "duplicate":
+        lines.insert(at, lines[at])
+    elif kind == "swap":
+        other = rng.randrange(len(lines))
+        lines[at], lines[other] = lines[other], lines[at]
+    elif kind == "id 0":
+        lines[pick("  id: ")] = "  id: 0"
+    elif kind == "duplicate id":
+        lines[pick("  id: ")] = lines[pick("  id: ")]
+    elif kind == "count 0":
+        at = pick("    how: ") + 1
+        lines[at : at + lines[at].startswith("    count: ")] = ["    count: 0"]
+    elif kind == "empty name":
+        at = pick(rng.choice(["application ", "  entity "]))
+        lines[at] = re.sub(r'".*"', rng.choice(['""', '" "']), lines[at])
+    elif kind == "no entities":
+        start = pick("application ")
+        end = lines.index("}", start)
+        entity_lines = ("  entity ", "    ", "  }")
+        lines[start:end] = [line for line in lines[start:end] if not line.startswith(entity_lines)]
+    elif kind == "unknown key":
+        lines.insert(pick("  id: ") + 1, rng.choice(['  color: "red"', "  tags: [1, 2]"]))
+    elif kind == "comment in a block":
+        lines.insert(pick(rng.choice(["  id: ", "    what: "])) + 1, "  # a comment")
+    elif kind == "trailing blanks":
+        lines[at] += rng.choice([" ", "\t", "  "])
+    elif kind == "empty refs":
+        refs = pick("  refs: ")
+        if refs is None:
+            lines.insert(pick("  id: ") + 1, "  refs: []")
+        else:
+            lines[refs] = "  refs: []"
+
+
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "delete",
+        "duplicate",
+        "swap",
+        "id 0",
+        "duplicate id",
+        "count 0",
+        "empty name",
+        "no entities",
+        "unknown key",
+        "comment in a block",
+        "trailing blanks",
+        "empty refs",
+    ],
+)
+def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
+    for seed in range(60):
+        rng = random.Random(seed)
+        lines = _canonical_text(seed).splitlines()
+        if not lines:
+            continue
+        _mutate(lines, kind, rng)
+        text = "\n".join(lines) + "\n"
+        assert parse_corpus(text) == _parse_tokens(text), (kind, seed)
+
+
+def test_canonical_text_skips_the_token_parser(monkeypatch):
+    calls = []
+
+    def spy(text):
+        calls.append(text)
+        return _parse_tokens(text)
+
+    monkeypatch.setattr(dsl, "_parse_tokens", spy)
+    golden = resources.files("tangibility").joinpath(GOLDEN_RESOURCE).read_text("utf-8")
+    assert parse_corpus(golden) == (load_golden(), [])
+    for seed in range(50):
+        text = _canonical_text(seed)
+        assert parse_corpus(text)[1] == []
+    assert calls == []
+    text = golden.replace("\n  id: ", "\n  id : ")
+    assert parse_corpus(text) == (load_golden(), [])
+    assert calls == [text]
