@@ -86,7 +86,7 @@ class Cluster:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Rows in id order; applications with equal keys share one row tuple."""
+    """Rows in id order; equal keys share one row tuple, except on the pair-by-pair L1 path."""
 
     metric: Metric
     ids: tuple[int, ...]

@@ -11,9 +11,9 @@ The commands come from one table, ``_COMMANDS``, which gives each its help,
 its --format choices and its handler; the options of a single command are
 added after it.  Every command that reads a corpus runs the one handler
 ``_corpus_command`` makes from its row's ``build(corpus, args)``, which
-returns the text to write.  Every command's output, and the help, is
-written by ``_write``, as UTF-8 with "\\n" line ends whatever the locale,
-and every error line is printed by ``_print_diagnostics``.
+returns the text to write.  Every byte printed, diagnostics and usage errors
+too, goes through ``_emit`` as UTF-8 with "\\n" line ends whatever the
+locale; a closed or failing stderr loses them and changes nothing else.
 
 Exit codes: 0 success; 1 corpus errors (diagnostics go to stderr as
 "file:line:col: severity: message"), a refused report, a closed stdin or
@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NoReturn, Sequence
 
 from .analysis import Metric
 from .dsl import export_json, import_json, parse_corpus, serialize_corpus
@@ -41,34 +41,44 @@ EXIT_CORPUS_ERROR = 1
 EXIT_USAGE = 2
 
 
+def _emit(text: str, stderr: bool = False) -> OSError | None:
+    """The only code that touches sys.stdout or sys.stderr.  Writes non-empty
+    ``text`` as UTF-8 and flushes; returns the OSError of a closed stream or failed write."""
+    if not text:
+        return None
+    stream = sys.stderr if stderr else sys.stdout
+    if stream is None:  # the fd was closed when Python started
+        return OSError(f"standard {'error' if stderr else 'output'} is closed")
+    try:
+        if hasattr(stream, "buffer"):  # backslashreplace keeps a file name's lone surrogates
+            stream.buffer.write(text.encode("utf-8", "backslashreplace"))
+        else:  # a text-only stream, such as io.StringIO
+            stream.write(text)
+        stream.flush()
+    except OSError as exc:
+        return exc
+    return None
+
+
 def _print_diagnostics(diagnostics: Sequence[Diagnostic], label: str | None = None) -> None:
-    """The only code that touches sys.stderr: one "label:line:col: severity:
-    message" line per diagnostic, or "severity: message" without a label."""
+    """One "label:line:col: severity: message" line per diagnostic, or
+    "severity: message" without a label, on stderr.  A closed or failing
+    stderr loses them and changes neither stdout nor the exit code."""
     for diagnostic in diagnostics:
         span = diagnostic.span
         position = f":{span.line}:{span.column}" if span is not None else ""
         prefix = f"{label}{position}: " if label is not None else ""
-        print(f"{prefix}{diagnostic.severity.value}: {diagnostic.message}", file=sys.stderr)
+        _emit(f"{prefix}{diagnostic.severity.value}: {diagnostic.message}\n", stderr=True)
 
 
 def _write(text: str, label: str | None = None) -> int:
-    """The only code that touches sys.stdout.  Empty output touches nothing,
-    so validate runs with fd 1 closed; a closed stdout or a failed write is
-    one error line and exit 1."""
-    if not text:
+    """A command's output.  Empty output touches nothing, so validate runs with fd 1
+    closed; a closed stdout or a failed write is one error line and exit 1."""
+    error = _emit(text)
+    if error is None:
         return EXIT_OK
-    try:
-        if sys.stdout is None:  # fd 1 was closed when Python started
-            raise OSError("standard output is closed")
-        if hasattr(sys.stdout, "buffer"):
-            sys.stdout.buffer.write(text.encode("utf-8"))
-        else:  # a text-only stream, such as io.StringIO
-            sys.stdout.write(text)
-        sys.stdout.flush()
-    except OSError as exc:
-        _print_diagnostics([Diagnostic.error(exc.strerror or str(exc))], label)
-        return EXIT_CORPUS_ERROR
-    return EXIT_OK
+    _print_diagnostics([Diagnostic.error(error.strerror or str(error))], label)
+    return EXIT_CORPUS_ERROR
 
 
 def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Corpus | None, str]:
@@ -175,10 +185,14 @@ _COMMANDS = {
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser whose help, its commands' too, goes through _write."""
+    """An argument parser whose help and usage errors, its commands' too, go through _emit."""
 
     def print_help(self, file: object = None) -> None:
         raise SystemExit(_write(self.format_help()))
+
+    def error(self, message: str) -> NoReturn:
+        _emit(f"{self.format_usage()}{self.prog}: error: {message}\n", stderr=True)
+        raise SystemExit(EXIT_USAGE)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import io
 import json
 import os
@@ -23,6 +24,8 @@ application "Demo" {
   entity "thing" { what: datum how: tangible }
 }
 """
+ID_ZERO = GOOD.replace("id: 1", "id: 0")  # an error at 2:7
+NO_ENTITIES = 'application "Demo" {\n  id: 1\n}\n'  # a warning, and a report
 
 BROKEN = """\
 application "Demo" {
@@ -463,21 +466,39 @@ class TestInputEncoding:
         assert '"thing \u00e9\u00d7\U0001f600"'.encode() in result.stdout
 
     @pytest.mark.parametrize(
-        "argv, data, shown",
+        "argv, data, code, shown",
         [
-            (["term", "tolnible"], "", "×"),
-            (["classify", "-"], GOOD.replace('"Demo"', '"Žebřík 日本"'), "Žebřík 日本"),
+            (["term", "tolnible"], "", 0, "×"),
+            (["classify", "-"], GOOD.replace('"Demo"', '"Žebřík 日本"'), 0, "Žebřík 日本"),
+            (["validate", "-"], GOOD.replace("what: datum", "what: dätum"), 1, "'dätum'\n"),
+            (["analyze", "--golden", "--metric", "ü"], "", 2, "invalid choice: 'ü'"),
+            # A file name that is not UTF-8 keeps the escape Python's stderr gives it.
+            (
+                ["validate", b"bad\xff.corpus"],
+                ID_ZERO,
+                1,
+                "bad\\udcff.corpus:2:7: error: application 0: id must be positive\n",
+            ),
         ],
-        ids=["term", "classify"],
+        ids=["term", "classify", "diagnostic", "usage error", "file name"],
     )
-    def test_output_is_utf8_whatever_the_stream_encoding(self, argv, data, shown):
-        outputs = {}
+    def test_output_is_utf8_whatever_the_stream_encoding(
+        self, argv, data, code, shown, tmp_path, monkeypatch
+    ):
+        """stdout and stderr are UTF-8 whatever PYTHONIOENCODING says; ``shown``
+        is in stdout on success and in stderr otherwise.  ``data`` is stdin,
+        and also the file bad\\xff.corpus in the working directory."""
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / os.fsdecode(b"bad\xff.corpus")).write_bytes(data.encode())
+        runs = {}
         for encoding in ("utf-8", "ascii", "latin-1"):
             result = _run(argv, data.encode(), env={"PYTHONIOENCODING": encoding})
-            assert (result.returncode, result.stderr) == (0, b"")
-            outputs[encoding] = result.stdout
-        assert outputs["ascii"] == outputs["latin-1"] == outputs["utf-8"]
-        assert shown.encode() in outputs["utf-8"]
+            runs[encoding] = (result.returncode, result.stdout, result.stderr)
+        assert runs["ascii"] == runs["latin-1"] == runs["utf-8"]
+        returncode, stdout, stderr = runs["utf-8"]
+        assert returncode == code
+        assert (stdout, stderr)[code != 0].count(shown.encode()) == 1
+        assert (stdout, stderr)[code == 0] == b""
 
 
 _LIMIT = sys.get_int_max_str_digits()
@@ -615,17 +636,19 @@ def test_every_command_agrees_with_validate(name, monkeypatch, capsys):
 
 
 def _run(
-    argv: list[str],
+    argv: list[str | bytes],
     data: bytes = b"",
     locale: str | None = None,
     *,
     env: dict[str, str] | None = None,
     stdout: object = subprocess.PIPE,
+    stderr: object = subprocess.PIPE,
     closed_fd: int | None = None,
 ) -> subprocess.CompletedProcess:
     """`tangibility <argv>` in a fresh interpreter, so a crash shows, on raw
     stdin bytes, under ``locale`` (LC_ALL) and the variables ``env`` when
-    given, writing to ``stdout``, with ``closed_fd`` closed before it starts."""
+    given, writing to ``stdout`` and ``stderr``, with ``closed_fd`` closed
+    before it starts."""
     src = Path(tangibility.__file__).parent.parent
     env = {**os.environ, **(env or {}), "PYTHONPATH": str(src)}
     if locale is not None:
@@ -634,46 +657,90 @@ def _run(
         [sys.executable, "-m", "tangibility.cli", *argv],
         input=data,
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         env=env,
         preexec_fn=None if closed_fd is None else lambda: os.close(closed_fd),
     )
 
 
 @pytest.mark.parametrize(
-    "argv, code, stderr",
+    "fd, argv, data, code, stderr",
     [
-        (["validate", "--golden"], 0, b""),
-        (["classify", "--golden"], 1, b"<golden>: error: standard output is closed\n"),
-        (["term", "tolnible"], 1, b"error: standard output is closed\n"),
-        (["--help"], 1, b"error: standard output is closed\n"),
-        (["classify", "--help"], 1, b"error: standard output is closed\n"),
+        (1, ["validate", "--golden"], "", 0, b""),
+        (1, ["classify", "--golden"], "", 1, b"<golden>: error: standard output is closed\n"),
+        (1, ["term", "tolnible"], "", 1, b"error: standard output is closed\n"),
+        (1, ["--help"], "", 1, b"error: standard output is closed\n"),
+        (1, ["classify", "--help"], "", 1, b"error: standard output is closed\n"),
+        (2, ["classify", "-", "--format", "json"], NO_ENTITIES, 0, b""),
+        (2, ["validate", "-"], ID_ZERO, 1, b""),
+        (2, ["term", "nope"], "", 2, b""),
+        (2, ["analyze", "--golden", "--format", "xml"], "", 2, b""),
     ],
-    ids=["validate", "classify", "term", "help", "classify help"],
+    ids=[
+        "validate",
+        "classify",
+        "term",
+        "help",
+        "classify help",
+        "stderr: warning",
+        "stderr: corpus error",
+        "stderr: unknown term",
+        "stderr: usage error",
+    ],
 )
-def test_closed_stdout(argv, code, stderr):
+def test_closed_stdout(fd, argv, data, code, stderr):
     """A command that writes nothing runs with fd 1 closed; one that writes
-    prints one error line instead of a traceback."""
-    result = _run(argv, closed_fd=1)
+    prints one error line instead of a traceback.  With fd 2 closed, the
+    diagnostics are lost and stdout and the exit code are as with it open."""
+    result = _run(argv, data.encode(), closed_fd=fd)
     assert (result.returncode, result.stderr) == (code, stderr)
+    if fd == 2:
+        assert result.stdout == _run(argv, data.encode()).stdout
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 @pytest.mark.parametrize(
-    "argv, stderr",
+    "stream, argv, data, code, stderr",
     [
-        (["classify", "--golden"], b"<golden>: error: No space left on device\n"),
-        (["term", "tolnible"], b"error: No space left on device\n"),
-        (["--help"], b"error: No space left on device\n"),
-        (["classify", "--help"], b"error: No space left on device\n"),
+        ("stdout", ["classify", "--golden"], "", 1, b"<golden>: error: No space left on device\n"),
+        ("stdout", ["term", "tolnible"], "", 1, b"error: No space left on device\n"),
+        ("stdout", ["--help"], "", 1, b"error: No space left on device\n"),
+        ("stdout", ["classify", "--help"], "", 1, b"error: No space left on device\n"),
+        ("stderr", ["classify", "-", "--format", "json"], NO_ENTITIES, 0, None),
+        ("stderr", ["analyze", "--golden", "--format", "xml"], "", 2, None),
     ],
-    ids=["classify", "term", "help", "classify help"],
+    ids=["classify", "term", "help", "classify help", "stderr: warning", "stderr: usage error"],
 )
-def test_failed_write(argv, stderr):
-    """A write that fails is one error line and exit 1, not a traceback."""
+def test_failed_write(stream, argv, data, code, stderr):
+    """A write to stdout that fails is one error line and exit 1, not a
+    traceback; one to stderr loses the line and changes nothing else."""
     with open("/dev/full", "wb") as full:
-        result = _run(argv, stdout=full)
-    assert (result.returncode, result.stderr) == (1, stderr)
+        result = _run(argv, data.encode(), **{stream: full})
+    assert (result.returncode, result.stderr) == (code, stderr)
+    if stream == "stderr":
+        assert result.stdout == _run(argv, data.encode()).stdout
+
+
+def test_one_writer():
+    """No module calls print, and in cli.py only _emit reads sys.stdout or
+    sys.stderr, so every byte the CLI prints takes one path."""
+    package = Path(tangibility.__file__).parent
+    for path in sorted(package.rglob("*.py")):
+        prints = [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_bytes()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "print"
+        ]
+        assert prints == [], f"{path.name} calls print on lines {prints}"
+    readers = {
+        getattr(statement, "name", f"line {statement.lineno}")
+        for statement in ast.parse((package / "cli.py").read_bytes()).body
+        for node in ast.walk(statement)
+        if isinstance(node, ast.Attribute) and node.attr in ("stdout", "stderr")
+        and isinstance(node.value, ast.Name) and node.value.id == "sys"
+    }
+    assert readers == {"_emit"}
 
 
 def test_closed_stdin():
