@@ -1,11 +1,11 @@
 """Command-line interface.
 
 One corpus in, one report out.  Input is a file path, "-" for stdin, or
---golden for the bundled reference corpus.  A file and stdin are read alike:
-UTF-8 (a byte that is not is an error at its line and column), one leading
-byte order mark dropped.  Text starting with "{" is JSON interchange,
-anything else the annotation format; both readers take "\\r\\n" and a lone
-"\\r" as a line end.
+--golden for the bundled reference corpus.  All three are read alike, by
+``dsl._read``: UTF-8 (a byte that is not is an error at its line and
+column), one leading byte order mark dropped.  Text starting with "{" is
+JSON interchange, anything else the annotation format; both readers take
+"\\r\\n" and a lone "\\r" as a line end.
 
 The commands come from one table, ``_COMMANDS``, which gives each its help,
 its --format choices and its handler; the options of a single command are
@@ -16,9 +16,9 @@ too, goes through ``_emit`` as UTF-8 with "\\n" line ends whatever the
 locale; a closed or failing stderr loses them and changes nothing else.
 
 Exit codes: 0 success; 1 corpus errors (diagnostics go to stderr as
-"file:line:col: severity: message"), a refused report, a closed stdin or
-stdout, or a failed write, of the help too (each one "label: error:
-message" line); 2 usage errors.
+"file:line:col: severity: message"), a refused report, a corrupted bundled
+corpus, a closed stdin or stdout, or a failed write, of the help too (each
+one "label: error: message" line); 2 usage errors.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import sys
 from typing import Callable, NoReturn, Sequence
 
 from .analysis import Metric
-from .dsl import export_json, import_json, parse_corpus, serialize_corpus
+from .dsl import _read, export_json, serialize_corpus
 from .golden import load_golden
 from .model import Corpus, Diagnostic
 from .reporting import analytics_report, class_table, clusters_report, hallmark_table, render
@@ -93,11 +93,10 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
     if not args.golden and args.input is None:
         parser.error("an input path (or --golden) is required")
 
-    if args.golden:
-        return load_golden(), "<golden>"
-
-    label = "<stdin>" if args.input == "-" else args.input
+    label = "<golden>" if args.golden else "<stdin>" if args.input == "-" else args.input
     try:
+        if args.golden:
+            return load_golden(), label
         if args.input != "-":
             with open(args.input, "rb") as handle:
                 data = handle.read()
@@ -105,15 +104,11 @@ def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> t
             raise OSError("standard input is closed")
         else:  # bytes, or a str from a text-only stream such as io.StringIO
             data = getattr(sys.stdin, "buffer", sys.stdin).read()
-    except OSError as exc:
-        _print_diagnostics([Diagnostic.error(exc.strerror or str(exc))], label)
+    except (OSError, RuntimeError) as exc:  # RuntimeError: a corrupted bundled asset
+        _print_diagnostics([Diagnostic.error(getattr(exc, "strerror", None) or str(exc))], label)
         return None, label
 
-    # Bytes that are not UTF-8 are read as lone surrogates, which the readers refuse.
-    text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
-    text = text.removeprefix("\ufeff")  # a byte order mark is not content
-    reader = import_json if text.lstrip().startswith("{") else parse_corpus
-    corpus, diagnostics = reader(text)
+    corpus, diagnostics = _read(data)
     _print_diagnostics(diagnostics, label)
     if any(d.is_error for d in diagnostics):
         return None, label

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .dsl import parse_corpus
+from .dsl import _read
 from .model import Corpus
 
 __all__ = ["load_golden", "GOLDEN_RESOURCE"]
@@ -21,16 +21,14 @@ GOLDEN_RESOURCE = "data/golden.corpus"
 
 @lru_cache(maxsize=1)
 def load_golden() -> Corpus:
-    """Parse and return the bundled corpus.
+    """Parse and return the bundled corpus, read like any other input.
 
     The asset must load without a single diagnostic; anything else means a
     corrupted installation and raises RuntimeError.  The result is cached
     and immutable.
     """
-    text = (
-        resources.files(__package__).joinpath(GOLDEN_RESOURCE).read_text(encoding="utf-8")
-    )
-    corpus, diagnostics = parse_corpus(text)
+    data = resources.files(__package__).joinpath(GOLDEN_RESOURCE).read_bytes()
+    corpus, diagnostics = _read(data)
     if diagnostics:
         first = diagnostics[0]
         raise RuntimeError(f"bundled corpus asset is corrupted: {first.message}")

@@ -9,11 +9,12 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import tangibility
-from tangibility import cli
+from tangibility import cli, golden
 from tangibility.cli import main
 
 GOOD = """\
@@ -741,6 +742,38 @@ def test_one_writer():
         and isinstance(node.value, ast.Name) and node.value.id == "sys"
     }
     assert readers == {"_emit"}
+
+
+def test_one_reading_path():
+    """Only dsl.py decodes input bytes, and cli.py and golden.py read a corpus
+    through dsl._read, never naming either reader."""
+    package = Path(tangibility.__file__).parent
+
+    def names(path):
+        return {
+            getattr(node, "attr", None) or getattr(node, "id", None) or node.name
+            for node in ast.walk(ast.parse(path.read_bytes()))
+            if isinstance(node, (ast.Attribute, ast.Name, ast.alias))
+        }
+
+    decoders = {path.name for path in package.rglob("*.py") if "decode" in names(path)}
+    assert decoders == {"dsl.py"}
+    for name in ("cli.py", "golden.py"):
+        assert names(package / name).isdisjoint({"parse_corpus", "import_json"}), name
+
+
+def test_a_corrupted_bundled_corpus_is_one_error(tmp_path, monkeypatch, capsys):
+    asset = tmp_path / golden.GOLDEN_RESOURCE
+    asset.parent.mkdir()
+    asset.write_bytes(b'application "a\xff" { id: 1 }')
+    monkeypatch.setattr(golden, "resources", SimpleNamespace(files=lambda package: tmp_path))
+    golden.load_golden.cache_clear()
+    try:
+        assert main(["classify", "--golden"]) == 1
+    finally:
+        golden.load_golden.cache_clear()
+    message = "bundled corpus asset is corrupted: input is not valid UTF-8"
+    assert capsys.readouterr() == ("", f"<golden>: error: {message}\n")
 
 
 def test_closed_stdin():

@@ -998,6 +998,20 @@ def test_a_lone_carriage_return_ends_a_line_in_both_readers():
     assert import_json(broken.replace("\r", "\r\n"))[1][0].span == SourceSpan(3, 12)
 
 
+def test_both_readers_drop_one_leading_byte_order_mark():
+    golden = resources.files("tangibility").joinpath(GOLDEN_RESOURCE).read_text("utf-8")
+    exported = export_json(load_golden())
+    assert parse_corpus("\ufeff" + golden) == parse_corpus(golden) == (load_golden(), [])
+    assert import_json("\ufeff" + exported) == import_json(exported) == (load_golden(), [])
+    # Anywhere else, even right after the first, it is a character like any other.
+    bom = "unexpected character '\\ufeff'"  # as repr() writes it
+    assert parse_corpus("\ufeff\ufeff" + golden)[1] == [E(bom, SourceSpan(1, 1))]
+    assert parse_corpus('application "a" {\r\n  \ufeffid: 1 }')[1] == [E(bom, SourceSpan(2, 3))]
+    assert import_json("\ufeff\ufeff" + exported)[1] == [
+        E("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", SourceSpan(1, 1))
+    ]
+
+
 # The canonical text is read by a block recognizer, any other text by the token
 # parser (_parse_tokens), which is the reference for every text below.
 
@@ -1079,6 +1093,7 @@ def _mutate(lines, kind, rng):
         "comment in a block",
         "trailing blanks",
         "empty refs",
+        "no final newline",
     ],
 )
 def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
@@ -1088,7 +1103,7 @@ def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
         if not lines:
             continue
         _mutate(lines, kind, rng)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(lines) + ("" if kind == "no final newline" else "\n")
         assert parse_corpus(text) == _parse_tokens(text), (kind, seed)
 
 
@@ -1102,6 +1117,7 @@ def test_canonical_text_skips_the_token_parser(monkeypatch):
     monkeypatch.setattr(dsl, "_parse_tokens", spy)
     golden = resources.files("tangibility").joinpath(GOLDEN_RESOURCE).read_text("utf-8")
     assert parse_corpus(golden) == (load_golden(), [])
+    assert parse_corpus(golden.removesuffix("\n")) == (load_golden(), [])
     for seed in range(50):
         text = _canonical_text(seed)
         assert parse_corpus(text)[1] == []

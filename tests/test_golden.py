@@ -79,12 +79,13 @@ def test_loading_is_cached():
         ('application "a" { id: 0 }', "corrupted: application 0: id must be positive"),
         ('application "a" { id: 1 }', "corrupted: application 1: no entity records"),
         ("# no applications\n", "empty"),
+        ('application "a\udcff" { id: 1 }', "corrupted: input is not valid UTF-8"),  # a 0xff byte
     ],
 )
 def test_a_broken_asset_raises(text, message, tmp_path, monkeypatch):
     asset = tmp_path / golden.GOLDEN_RESOURCE
     asset.parent.mkdir()
-    asset.write_text(text, encoding="utf-8")
+    asset.write_text(text, encoding="utf-8", errors="surrogateescape")
     monkeypatch.setattr(golden, "resources", SimpleNamespace(files=lambda package: tmp_path))
     load_golden.cache_clear()
     try:
