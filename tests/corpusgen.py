@@ -18,8 +18,8 @@ def _name(rng: random.Random, prefix: str = "") -> str:
     return text
 
 
-def random_entity(rng: random.Random) -> Entity:
-    if rng.random() < 0.15:
+def random_entity(rng: random.Random, allow_many: bool = True) -> Entity:
+    if rng.random() < 0.15 and allow_many:
         count = Count.MANY
     else:
         count = Count(rng.randint(1, 5))
@@ -32,9 +32,11 @@ def random_entity(rng: random.Random) -> Entity:
     )
 
 
-def random_corpus(rng: random.Random, max_apps: int = 5) -> Corpus:
+def random_corpus(
+    rng: random.Random, max_apps: int = 5, *, min_apps: int = 0, allow_many: bool = True
+) -> Corpus:
     apps = []
-    for i in range(rng.randint(0, max_apps)):
+    for i in range(rng.randint(min_apps, max_apps)):
         apps.append(
             Application(
                 id=100 * i + rng.randint(1, 99),
@@ -43,7 +45,9 @@ def random_corpus(rng: random.Random, max_apps: int = 5) -> Corpus:
                 genre=rng.choice([None, f"Genre {rng.randint(1, 3)}"]),
                 subgenre=rng.choice([None, f"Sub {rng.randint(1, 4)}"]),
                 refs=tuple(f"ref{rng.randint(1, 99)}" for _ in range(rng.randint(0, 3))),
-                entities=tuple(random_entity(rng) for _ in range(rng.randint(0, 5))),
+                entities=tuple(
+                    random_entity(rng, allow_many) for _ in range(rng.randint(0, 5))
+                ),
             )
         )
     return Corpus(tuple(apps))

@@ -11,6 +11,9 @@ text/CSV/JSON/DOT for both --key values and both --metric values.
 - The empty corpus and 40 seeded ``corpusgen.random_corpus`` corpora
   (hostile names included) are pinned as one SHA-256 digest per case in
   ``snapshots/digests.json``.
+- Three larger seeded corpora pin the analyze cases alone, in the same
+  file: 1,000 applications with "many" (L1 refused), 1,000 without (the
+  L1 lane kernel), and 300 where one term sums to 255 (L1 pair by pair).
 
 Generated corpora are fed as JSON on stdin, so diagnostics name
 ``<stdin>`` and do not depend on a temporary path.  The snapshots record
@@ -28,11 +31,13 @@ import json
 import random
 import sys
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
+from typing import Iterable
 
 import pytest
 
-from tangibility import Corpus, export_json
+from tangibility import Corpus, Count, Entity, Role, Tangibility, export_json
 from tangibility.cli import main
 
 try:
@@ -49,6 +54,12 @@ DIGESTS = SNAPSHOTS / "digests.json"
 SEEDS = range(40)
 MAX_APPS = 8
 GENERATED = ["empty"] + [f"seed-{seed}" for seed in SEEDS]
+# name -> (seed, applications, "many" allowed, one term summing to 255)
+LARGE = {
+    "large-many": (1, 1000, True, False),
+    "large-exact": (2, 1000, False, False),
+    "large-wide": (3, 300, False, True),
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -67,6 +78,7 @@ def _cases() -> dict[str, list[str]]:
 
 
 CASES = _cases()
+ANALYZE = [case for case in CASES if case.startswith("analyze-")]
 
 
 def _generated_corpus(name: str) -> str:
@@ -74,6 +86,17 @@ def _generated_corpus(name: str) -> str:
         return export_json(Corpus(()))
     seed = int(name.removeprefix("seed-"))
     return export_json(random_corpus(random.Random(seed), max_apps=MAX_APPS))
+
+
+def _large_corpus(name: str) -> str:
+    seed, size, allow_many, wide = LARGE[name]
+    rng = random.Random(seed)
+    corpus = random_corpus(rng, max_apps=size, min_apps=size, allow_many=allow_many)
+    if wide:
+        first, *rest = corpus.applications
+        entity = Entity("wide", Role.DATUM, Tangibility.TANGIBLE, Count(255))
+        corpus = Corpus((replace(first, entities=(*first.entities, entity)), *rest))
+    return export_json(corpus)
 
 
 def run_cli(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
@@ -93,10 +116,8 @@ def _digest(code: int, stdout: str, stderr: str) -> str:
     return hashlib.sha256(framed.encode("utf-8")).hexdigest()
 
 
-def _corpus_digests(corpus_json: str) -> dict[str, str]:
-    return {
-        case: _digest(*run_cli(argv + ["-"], corpus_json)) for case, argv in CASES.items()
-    }
+def _corpus_digests(corpus_json: str, cases: Iterable[str] = CASES) -> dict[str, str]:
+    return {case: _digest(*run_cli(CASES[case] + ["-"], corpus_json)) for case in cases}
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -117,6 +138,13 @@ def test_generated(name):
     assert set(pinned) == set(CASES)
 
 
+@pytest.mark.parametrize("name", LARGE)
+def test_large(name):
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    actual = _corpus_digests(_large_corpus(name), ANALYZE)
+    assert actual == pinned
+
+
 def _write_snapshots() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     status = {}
@@ -125,6 +153,7 @@ def _write_snapshots() -> None:
         (GOLDEN_DIR / f"{case}.out").write_bytes(stdout.encode("utf-8"))
         status[case] = {"exit": code, "stderr": stderr}
     digests = {name: _corpus_digests(_generated_corpus(name)) for name in GENERATED}
+    digests.update({name: _corpus_digests(_large_corpus(name), ANALYZE) for name in LARGE})
     for path, payload in ((GOLDEN_STATUS, status), (DIGESTS, digests)):
         path.write_text(
             json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
