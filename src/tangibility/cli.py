@@ -3,22 +3,27 @@
 One corpus in, one report out.  Input is a file path, "-" for stdin, or
 --golden for the bundled reference corpus.  All three are read alike, by
 ``dsl._read``: UTF-8 (a byte that is not is an error at its line and
-column), one leading byte order mark dropped.  Text starting with "{" is
-JSON interchange, anything else the annotation format; both readers take
+column), one leading byte order mark dropped.  Text starting with "{" or "["
+is JSON interchange, anything else the annotation format; both readers take
 "\\r\\n" and a lone "\\r" as a line end.
 
 The commands come from one table, ``_COMMANDS``, which gives each its help,
 its --format choices and its handler; the options of a single command are
 added after it.  Every command that reads a corpus runs the one handler
 ``_corpus_command`` makes from its row's ``build(corpus, args)``, which
-returns the text to write.  Every byte printed, diagnostics and usage errors
-too, goes through ``_emit`` as UTF-8 with "\\n" line ends whatever the
-locale; a closed or failing stderr loses them and changes nothing else.
+returns the text to write.  The handler reads the input's bytes, prints the
+reader's diagnostics, and builds and writes the report; its one ``except``,
+around reading and building, makes an unreadable input, a corrupted bundled
+corpus or a refused report one error line.  Every byte printed, diagnostics
+and usage errors too, goes through ``_emit`` as UTF-8 with "\\n" line ends
+whatever the locale; a closed or failing stderr (a closed fd and a closed
+stream object alike) loses them and changes nothing else.
 
 Exit codes: 0 success; 1 corpus errors (diagnostics go to stderr as
 "file:line:col: severity: message"), a refused report, a corrupted bundled
-corpus, a closed stdin or stdout, or a failed write, of the help too (each
-one "label: error: message" line); 2 usage errors.
+corpus, a path the OS refuses or one holding a NUL byte, a closed stdin or
+stdout (fd or stream object), or a failed write, of the help too (each one
+"label: error: message" line); 2 usage errors.
 """
 
 from __future__ import annotations
@@ -41,9 +46,10 @@ EXIT_CORPUS_ERROR = 1
 EXIT_USAGE = 2
 
 
-def _emit(text: str, stderr: bool = False) -> OSError | None:
+def _emit(text: str, stderr: bool = False) -> OSError | ValueError | None:
     """The only code that touches sys.stdout or sys.stderr.  Writes non-empty
-    ``text`` as UTF-8 and flushes; returns the OSError of a closed stream or failed write."""
+    ``text`` as UTF-8 and flushes; returns the OSError of a closed fd or a failed
+    write, or the ValueError of a closed stream object."""
     if not text:
         return None
     stream = sys.stderr if stderr else sys.stdout
@@ -55,7 +61,7 @@ def _emit(text: str, stderr: bool = False) -> OSError | None:
         else:  # a text-only stream, such as io.StringIO
             stream.write(text)
         stream.flush()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         return exc
     return None
 
@@ -71,62 +77,50 @@ def _print_diagnostics(diagnostics: Sequence[Diagnostic], label: str | None = No
         _emit(f"{prefix}{diagnostic.severity.value}: {diagnostic.message}\n", stderr=True)
 
 
+def _fail(error: Exception, label: str | None = None) -> int:
+    """One "label: error: message" line, in ``error``'s strerror if it has one; exit 1."""
+    _print_diagnostics([Diagnostic.error(getattr(error, "strerror", None) or str(error))], label)
+    return EXIT_CORPUS_ERROR
+
+
 def _write(text: str, label: str | None = None) -> int:
     """A command's output.  Empty output touches nothing, so validate runs with fd 1
     closed; a closed stdout or a failed write is one error line and exit 1."""
     error = _emit(text)
-    if error is None:
-        return EXIT_OK
-    _print_diagnostics([Diagnostic.error(error.strerror or str(error))], label)
-    return EXIT_CORPUS_ERROR
-
-
-def _load_corpus(args: argparse.Namespace, parser: argparse.ArgumentParser) -> tuple[Corpus | None, str]:
-    """Resolve the input selection to a corpus.
-
-    Returns (corpus, label); corpus is None after diagnostics have been
-    printed and the command should exit with a corpus error.  Usage
-    problems exit through parser.error.
-    """
-    if args.golden and args.input is not None:
-        parser.error("give an input path or --golden, not both")
-    if not args.golden and args.input is None:
-        parser.error("an input path (or --golden) is required")
-
-    label = "<golden>" if args.golden else "<stdin>" if args.input == "-" else args.input
-    try:
-        if args.golden:
-            return load_golden(), label
-        if args.input != "-":
-            with open(args.input, "rb") as handle:
-                data = handle.read()
-        elif sys.stdin is None:  # fd 0 was closed when Python started
-            raise OSError("standard input is closed")
-        else:  # bytes, or a str from a text-only stream such as io.StringIO
-            data = getattr(sys.stdin, "buffer", sys.stdin).read()
-    except (OSError, RuntimeError) as exc:  # RuntimeError: a corrupted bundled asset
-        _print_diagnostics([Diagnostic.error(getattr(exc, "strerror", None) or str(exc))], label)
-        return None, label
-
-    corpus, diagnostics = _read(data)
-    _print_diagnostics(diagnostics, label)
-    if any(d.is_error for d in diagnostics):
-        return None, label
-    return corpus, label
+    return EXIT_OK if error is None else _fail(error, label)
 
 
 def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Callable[..., int]:
-    """The handler of a command that loads a corpus and writes ``build(corpus, args)``."""
+    """The handler of a command that reads a corpus and writes ``build(corpus, args)``.
+    Usage problems exit 2 through parser.error; corpus errors and failures to
+    read, build or write the report are exit 1."""
 
     def handler(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
-        corpus, label = _load_corpus(args, parser)
-        if corpus is None:
-            return EXIT_CORPUS_ERROR
+        if args.golden and args.input is not None:
+            parser.error("give an input path or --golden, not both")
+        if not args.golden and args.input is None:
+            parser.error("an input path (or --golden) is required")
+        label = "<golden>" if args.golden else "<stdin>" if args.input == "-" else args.input
         try:
+            if args.golden:
+                corpus, diagnostics = load_golden(), []
+            else:
+                if args.input != "-":
+                    with open(args.input, "rb") as handle:
+                        data = handle.read()
+                elif sys.stdin is None:  # fd 0 was closed when Python started
+                    raise OSError("standard input is closed")
+                else:  # bytes, or a str from a text-only stream such as io.StringIO
+                    data = getattr(sys.stdin, "buffer", sys.stdin).read()
+                corpus, diagnostics = _read(data)
+            _print_diagnostics(diagnostics, label)
+            if any(d.is_error for d in diagnostics):
+                return EXIT_CORPUS_ERROR
             text = build(corpus, args)
-        except ValueError as exc:  # a SymbolicCountError too
-            _print_diagnostics([Diagnostic.error(str(exc))], label)
-            return EXIT_CORPUS_ERROR
+        # RuntimeError: a corrupted bundled corpus.  ValueError: a refused report
+        # (SymbolicCountError), a NUL in the path, or a closed stdin object.
+        except (OSError, RuntimeError, ValueError) as error:
+            return _fail(error, label)
         return _write(text, label)
 
     return handler

@@ -49,7 +49,7 @@ table).  Any other text, and any with a finding, goes to the token parser
 (`_parse_tokens`), the only source of diagnostics.  The JSON functions
 carry the same data in a one-object schema for interchange with other
 tooling.  `_read` is the one entry for a file, stdin or the bundled asset:
-it decodes UTF-8 bytes and reads text starting with "{" as JSON.
+it decodes UTF-8 bytes and reads text starting with "{" or "[" as JSON.
 """
 
 from __future__ import annotations
@@ -652,7 +652,7 @@ def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
 
 def _read(data: bytes | str) -> tuple[Corpus, list[Diagnostic]]:
     """Read UTF-8 bytes, decoded with "surrogateescape", or the text of a text-only
-    stream: JSON interchange if it starts with "{", the annotation format otherwise."""
+    stream: JSON interchange if it starts with "{" or "[", the annotation format otherwise."""
     text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
-    is_json = text.removeprefix("\ufeff").lstrip().startswith("{")
+    is_json = text.removeprefix("\ufeff").lstrip().startswith(("{", "["))
     return import_json(text) if is_json else parse_corpus(text)

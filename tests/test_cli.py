@@ -106,6 +106,11 @@ class TestValidate:
         assert main(["validate", "-"]) == 0
         assert capsys.readouterr().err == ""
 
+    def test_top_level_array_goes_to_the_json_reader(self, monkeypatch, capsys):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b'[{"id":1}]')))
+        assert main(["validate", "-"]) == 1
+        assert capsys.readouterr() == ("", "<stdin>: error: top level must be an object\n")
+
 
 class TestClassify:
     def test_text(self, good_file, capsys):
@@ -774,6 +779,58 @@ def test_a_corrupted_bundled_corpus_is_one_error(tmp_path, monkeypatch, capsys):
         golden.load_golden.cache_clear()
     message = "bundled corpus asset is corrupted: input is not valid UTF-8"
     assert capsys.readouterr() == ("", f"<golden>: error: {message}\n")
+
+
+def _main_on(monkeypatch, argv, data="", closed=None):
+    """main(argv) in-process on byte-backed standard streams, with the stream
+    object named by ``closed`` closed.  Returns the exit code and the bytes
+    written to stdout and stderr (None for the closed one)."""
+    streams = {name: io.TextIOWrapper(io.BytesIO()) for name in ("stdout", "stderr")}
+    streams["stdin"] = io.TextIOWrapper(io.BytesIO(data.encode()))
+    if closed is not None:
+        streams[closed].close()
+    for name, stream in streams.items():
+        monkeypatch.setattr(sys, name, stream)
+    code = main(argv)  # raising fails the test
+    out, err = streams["stdout"], streams["stderr"]
+    return code, *(None if s.closed else s.buffer.getvalue() for s in (out, err))
+
+
+@pytest.mark.parametrize(
+    "closed, argv, data, code, stderr",
+    [
+        (None, ["validate", "a\0b"], "", 1, b"a\0b: error: embedded null byte\n"),
+        ("stdin", ["validate", "-"], "", 1, b"<stdin>: error: I/O operation on closed file.\n"),
+        (
+            "stdout",
+            ["classify", "--golden"],
+            "",
+            1,
+            b"<golden>: error: I/O operation on closed file.\n",
+        ),
+        ("stderr", ["classify", "-", "--format", "json"], NO_ENTITIES, 0, None),
+        ("stderr", ["analyze", "--golden", "--format", "xml"], "", 2, None),
+        ("stderr", ["term", "nope"], "", 2, None),
+    ],
+    ids=[
+        "NUL in path",
+        "stdin",
+        "stdout",
+        "stderr: warning",
+        "stderr: usage error",
+        "stderr: unknown term",
+    ],
+)
+def test_refused_path_and_closed_stream_objects(monkeypatch, closed, argv, data, code, stderr):
+    """A path holding a NUL byte is one error line, as a missing file is.  A
+    closed stream object is treated as a closed fd: stdin or stdout is one
+    error line and exit 1, and stderr loses its lines and changes nothing else."""
+    exit_code, stdout, written = _main_on(monkeypatch, argv, data, closed)
+    assert (exit_code, written) == (code, stderr)
+    if closed == "stderr":
+        assert stdout == _main_on(monkeypatch, argv, data)[1]
+    elif closed != "stdout":
+        assert stdout == b""
 
 
 def test_closed_stdin():
