@@ -796,18 +796,15 @@ def _main_on(monkeypatch, argv, data="", closed=None):
     return code, *(None if s.closed else s.buffer.getvalue() for s in (out, err))
 
 
+_CLOSED_FILE = b"error: I/O operation on closed file.\n"
+
+
 @pytest.mark.parametrize(
     "closed, argv, data, code, stderr",
     [
         (None, ["validate", "a\0b"], "", 1, b"a\0b: error: embedded null byte\n"),
-        ("stdin", ["validate", "-"], "", 1, b"<stdin>: error: I/O operation on closed file.\n"),
-        (
-            "stdout",
-            ["classify", "--golden"],
-            "",
-            1,
-            b"<golden>: error: I/O operation on closed file.\n",
-        ),
+        ("stdin", ["validate", "-"], "", 1, b"<stdin>: " + _CLOSED_FILE),
+        ("stdout", ["classify", "--golden"], "", 1, b"<golden>: " + _CLOSED_FILE),
         ("stderr", ["classify", "-", "--format", "json"], NO_ENTITIES, 0, None),
         ("stderr", ["analyze", "--golden", "--format", "xml"], "", 2, None),
         ("stderr", ["term", "nope"], "", 2, None),

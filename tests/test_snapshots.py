@@ -90,8 +90,9 @@ def _generated_corpus(name: str) -> str:
 
 def _large_corpus(name: str) -> str:
     seed, size, allow_many, wide = LARGE[name]
-    rng = random.Random(seed)
-    corpus = random_corpus(rng, max_apps=size, min_apps=size, allow_many=allow_many)
+    corpus = random_corpus(
+        random.Random(seed), max_apps=size, min_apps=size, allow_many=allow_many
+    )
     if wide:
         first, *rest = corpus.applications
         entity = Entity("wide", Role.DATUM, Tangibility.TANGIBLE, Count(255))
