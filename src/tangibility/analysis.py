@@ -8,13 +8,14 @@ deterministically ordered so downstream renderings are byte-stable.
 The distance matrix is computed one distinct key at a time, in CPython's
 byte loops rather than per cell.  Each key component is one ``bytes``
 column across the applications; ``bytes.translate`` through a 256-byte
-table turns a column into that component's distances to the key, and the
-columns, read as big ints, add lane by lane into the key's row.  Hamming
-keys are the mask in two 1-byte lanes (low 8 bits, high 4; a lane sums to
-at most 12).  L1 keys are the twelve components in 2-byte lanes (the
-value, then a pad byte of 255 that the table maps to 0; a lane sums to at
-most 12 * 254), so they need every component below 255; otherwise the
-matrix is summed pair by pair.  Applications with equal keys share one row.
+table turns a column into its distances to one value, read as a big int and
+cached per column and value (at most columns * distinct values * lane bytes
+* n bytes), and a key's row is the sum of its components' ints, lane by lane.
+Hamming keys are the mask in two 1-byte lanes (low 8 bits, high 4; a lane
+sums to at most 12), kept as ``bytes``.  L1 keys are the twelve components
+in 2-byte lanes (the value, then a pad byte of 255 that the table maps to
+0; a lane sums to at most 12 * 254), kept as ``array('H')``, so they need
+every component below 255; otherwise the matrix is summed pair by pair.
 """
 
 from __future__ import annotations
@@ -22,10 +23,10 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
-from dataclasses import dataclass
-from functools import cache
+from dataclasses import dataclass, field
+from functools import cache, cached_property
 from operator import sub
-from typing import Callable, Union
+from typing import Callable, Sequence, Union
 
 from .classify import classify
 from .hallmark import BinaryHallmark, Hallmark, SymbolicCountError, binarize
@@ -86,11 +87,18 @@ class Cluster:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """Rows in id order; equal keys share one row tuple, except on the pair-by-pair L1 path."""
+    """``distinct``: one row per distinct key (per application on the
+    pair-by-pair L1 path); ``index``: in id order, each application's row."""
 
     metric: Metric
     ids: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    distinct: tuple[Sequence[int], ...] = field(hash=False)  # an array is unhashable
+    index: tuple[int, ...]
+
+    @cached_property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """Int tuples, built on first read; applications with one row share one tuple."""
+        return tuple(map([*map(tuple, self.distinct)].__getitem__, self.index))
 
 
 @dataclass(frozen=True)
@@ -209,12 +217,12 @@ def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
             lanes = [array("H", [_PAD << 8 | x for x in c]).tobytes() for c in zip(*vectors)]
             rows = _lane_rows(vectors, lanes, _abs_diff_table, "H")
         else:
-            rows = _l1_rows(vectors)
+            rows = _l1_rows(vectors), tuple(range(len(vectors)))
     else:
         halves = [(mark.mask & 0xFF, mark.mask >> 8) for _, mark in pairs]
         lanes = [bytes(c) for c in zip(*halves)]
         rows = _lane_rows(halves, lanes, _xor_popcount_table, "B")
-    return DistanceMatrix(metric, tuple(app.id for app, _ in pairs), rows)
+    return DistanceMatrix(metric, tuple(app.id for app, _ in pairs), *rows)
 
 
 @cache
@@ -231,20 +239,18 @@ def _abs_diff_table(v: int) -> bytes:
 
 def _lane_rows(
     keys: list[tuple[int, ...]], columns: list[bytes], table: Callable[[int], bytes], lane: str
-) -> tuple[tuple[int, ...], ...]:
-    """Distance rows as lane sums (see the module docstring), one row tuple
-    per distinct key.  Column c holds one ``lane`` (an ``array`` type code,
-    native byte order) per application, whose low byte is component c of
-    its key; no lane's sum may outgrow the lane."""
+) -> tuple[tuple[Sequence[int], ...], tuple[int, ...]]:
+    """Distance rows as lane sums (see the module docstring), one per distinct
+    key, and each key's index.  Column c holds one ``lane`` (an ``array`` type
+    code, native byte order) per application, whose low byte is component c
+    of its key; no lane's sum may outgrow the lane.  1-byte rows stay bytes."""
     order = sys.byteorder
-    size = len(columns[0]) if columns else 0
-    rows: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for key in dict.fromkeys(keys):
-        total = 0
-        for column, value in zip(columns, key):
-            total += int.from_bytes(column.translate(table(value)), order)
-        rows[key] = tuple(array(lane, total.to_bytes(size, order)).tolist())
-    return tuple(map(rows.__getitem__, keys))
+    distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    # Each column's distances to each byte it holds (an L1 lane's pad byte too).
+    sums = [{v: int.from_bytes(c.translate(table(v)), order) for v in set(c)} for c in columns]
+    rows = [sum(map(dict.__getitem__, sums, k)).to_bytes(len(columns[0]), order) for k in distinct]
+    rows = [row if lane == "B" else array(lane, row) for row in rows]
+    return tuple(rows), tuple(map(distinct.__getitem__, keys))
 
 
 def _l1_rows(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:

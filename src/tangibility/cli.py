@@ -92,8 +92,8 @@ def _write(text: str, label: str | None = None) -> int:
 
 def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Callable[..., int]:
     """The handler of a command that reads a corpus and writes ``build(corpus, args)``.
-    Usage problems exit 2 through parser.error; corpus errors and failures to
-    read, build or write the report are exit 1."""
+    Usage problems exit 2 through the command's own parser.error; corpus errors
+    and failures to read, build or write the report are exit 1."""
 
     def handler(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
         if args.golden and args.input is not None:
@@ -192,6 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, formats, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(parser=p)  # the handler's own parser, for its usage errors
         if formats is None:
             continue
         p.add_argument("input", nargs="?", help="corpus file, or '-' for stdin")
@@ -225,7 +226,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command][2](args, parser)
+        return _COMMANDS[args.command][2](args, args.parser)
     except SystemExit as exc:  # a usage error, from parsing or from a command handler
         return int(exc.code) if exc.code is not None else EXIT_OK
 

@@ -4,7 +4,8 @@ Each report holds its data and builds one format on request: text lines, CSV
 tables or a JSON payload; DOT graphs exist for cross-tabs only.  Output is
 deterministic (rows in id order, "\\n" newlines); hallmark components print
 as "N" in text and as "many" in CSV and JSON, but a cluster's key, one CSV
-cell, prints in its text form.
+cell, prints in its text form.  Each distinct distance-matrix row is
+formatted once, from its bytes, and reused by every application sharing it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, groupby
 from typing import Any, Iterable, Iterator
 
 from .analysis import (
@@ -62,6 +63,9 @@ __all__ = [
 Table = Iterable[list[Any]]
 
 _TERM_NAMES = [term.name for term in TERMS]
+_json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
+# A Hamming distance as a byte whose hex reads "f0"-"f9" or "10"-"12": each "f" is a blank.
+_HAMMING_HEX = bytes([0xF0 | v for v in range(10)] + [0x10, 0x11, 0x12]).ljust(256, b"\0")
 
 
 def _table_lines(
@@ -94,20 +98,46 @@ class _Padded(dict):
         return cell
 
 
+def _matrix_cells(matrix: DistanceMatrix) -> list[str]:
+    """Each distinct row's cells joined by commas, formatted once per row."""
+    if matrix.metric is Metric.HAMMING:
+        return [row.translate(_HAMMING_HEX).hex(",").replace("f", "") for row in matrix.distinct]
+    strings = _Padded(0)
+    return [",".join(map(strings.__getitem__, row)) for row in matrix.distinct]
+
+
 def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     """The matrix as an indented right-aligned table, formatted line by line.
 
     A distance matrix is symmetric, so column j is as wide as id j or the
-    largest value of row j.  Columns of one width share one cell lookup.
+    largest value of row j (a Hamming distance has at most two digits).
     """
     ids = [str(i) for i in matrix.ids]
-    widths = [max(len(i), len(str(max(row)))) for i, row in zip(ids, matrix.rows)]
-    padded = {width: _Padded(width) for width in set(widths)}
-    columns = [padded[width] for width in widths]
+    hamming = matrix.metric is Metric.HAMMING
+    # An L1 row is read cell by cell twice, so it is boxed into ints once.
+    rows = matrix.distinct if hamming else [tuple(row) for row in matrix.distinct]
+    widths = [
+        len(i) if hamming and len(i) > 1 else max(len(i), len(str(max(rows[k]))))
+        for i, k in zip(ids, matrix.index)
+    ]
+    if hamming:  # a run of equal-width columns at a time, from the row's hex
+        stops = list(accumulate(len(list(run)) for _, run in groupby(widths)))
+        runs = [(a, b, " " * widths[a]) for a, b in zip([0, *stops], stops)]
+        cells = [
+            "".join(
+                pad + row[a:b].translate(_HAMMING_HEX).hex(",").replace(",", pad)
+                for a, b, pad in runs
+            ).replace("f", " ")
+            for row in rows
+        ]
+    else:
+        padded = {width: _Padded(width + 2) for width in set(widths)}
+        columns = [padded[width] for width in widths]
+        cells = ["".join(map(dict.__getitem__, columns, row)) for row in rows]
     first = max([2, *map(len, ids)])
     yield "  " + "  ".join(["id".rjust(first), *map(str.rjust, ids, widths)])
-    for i, row in zip(ids, matrix.rows):
-        yield "  " + "  ".join([i.rjust(first), *map(dict.__getitem__, columns, row)])
+    for i, k in zip(ids, matrix.index):
+        yield "  " + i.rjust(first) + cells[k]
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -276,7 +306,7 @@ class Analytics:
             *_matrix_lines(self.matrix),
         ]
 
-    def csv_tables(self) -> list[Table]:
+    def csv_tables(self) -> list[Table | str]:
         statistics = [
             ["statistic", "value"],
             ["applications", self.application_count],
@@ -293,8 +323,8 @@ class Analytics:
             [row.label] + [_ids(ids, " ") for ids in row.cells.values()]
             for row in tab.rows
         ]
-        # Matrix rows are generated while writing, not held as a second copy.
-        matrix_rows = ([i, *row] for i, row in zip(matrix.ids, matrix.rows))
+        cells = _matrix_cells(matrix)
+        matrix_rows = [f"{i},{cells[k]}\n" for i, k in zip(matrix.ids, matrix.index)]
         return [
             statistics,
             *self.coverage.csv_tables(),
@@ -303,10 +333,13 @@ class Analytics:
             *self.clusters.csv_tables(),
             *self.binary_clusters.csv_tables(),
             crosstab,
-            chain([["id"] + [str(i) for i in matrix.ids]], matrix_rows),
+            "".join([",".join(["id", *map(str, matrix.ids)]) + "\n", *matrix_rows]),
         ]
 
     def payload(self) -> dict[str, Any]:
+        return self._payload(self.matrix.rows)
+
+    def _payload(self, rows: Any) -> dict[str, Any]:
         tab, matrix = self.crosstab, self.matrix
         return {
             "applications": self.application_count,
@@ -327,12 +360,7 @@ class Analytics:
                 "key": tab.key,
                 "rows": [{"label": row.label, **row.cells} for row in tab.rows],
             },
-            # Tuples serialize as JSON arrays, so the matrix is not copied to lists.
-            "distance_matrix": {
-                "metric": matrix.metric.value,
-                "ids": matrix.ids,
-                "rows": matrix.rows,
-            },
+            "distance_matrix": {"metric": matrix.metric.value, "ids": matrix.ids, "rows": rows},
         }
 
 
@@ -408,12 +436,17 @@ def _csv(table: Table) -> str:
 
 
 def render_csv(report: Any) -> str:
-    return "\n".join(_csv(table) for table in _checked(report, "CSV").csv_tables())
+    tables = _checked(report, "CSV").csv_tables()  # a str is CSV text already
+    return "\n".join(table if isinstance(table, str) else _csv(table) for table in tables)
 
 
 def render_json(report: Any) -> str:
-    payload = _checked(report, "JSON").payload()
-    return json.dumps(payload, separators=(",", ":"), ensure_ascii=False) + "\n"
+    if not isinstance(report, Analytics):
+        return _json(_checked(report, "JSON").payload()) + "\n"
+    # The matrix rows end the payload: its "null}}" gives way to each distinct row's cells.
+    rows = ["[" + cells + "]" for cells in _matrix_cells(report.matrix)]
+    joined = ",".join(map(rows.__getitem__, report.matrix.index))
+    return _json(report._payload(None))[: -len("null}}")] + "[" + joined + "]}}\n"
 
 
 def _dot_quote(label: str) -> str:

@@ -89,6 +89,21 @@ class TestValidate:
         assert main(["validate"]) == 2
         assert "required" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["classify"], "an input path (or --golden) is required"),
+            (["classify", "-", "--golden"], "give an input path or --golden, not both"),
+            (["classify", "--format", "xml"], "argument --format: invalid choice: 'xml'"),
+        ],
+    )
+    def test_usage_errors_carry_the_commands_usage(self, argv, message, capsys):
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        usage = "usage: tangibility classify [-h] [--golden] [--format {text,csv,json}] [input]\n"
+        assert (out, err[: len(usage)]) == ("", usage)
+        assert err[len(usage) :].startswith(f"tangibility classify: error: {message}")
+
     def test_stdin(self, monkeypatch, capsys):
         monkeypatch.setattr("sys.stdin", io.StringIO(GOOD))
         assert main(["validate", "-"]) == 0

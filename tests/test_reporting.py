@@ -10,6 +10,8 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tangibility import (
     Application,
@@ -44,6 +46,28 @@ TERM_NAMES = [t.name for t in all_terms()]
 
 def _rows(text: str) -> list[list[str]]:
     return list(csv.reader(io.StringIO(text)))
+
+
+def _vector_corpus(vectors: dict[int, tuple[int, ...]]) -> Corpus:
+    """Applications by id whose hallmark is the id's vector: one entity per nonzero term."""
+    return Corpus(
+        tuple(
+            Application(
+                id=app_id,
+                name=f"a{app_id}",
+                entities=tuple(
+                    Entity(f"e{i}", term.role, term.tangibility, Count(n))
+                    for i, (term, n) in enumerate(zip(all_terms(), vector))
+                    if n
+                ),
+            )
+            for app_id, vector in vectors.items()
+        )
+    )
+
+
+def _bits(mask: int) -> tuple[int, ...]:
+    return tuple(mask >> i & 1 for i in range(12))
 
 
 def test_analytics_report_computes_each_hallmark_once(monkeypatch):
@@ -189,19 +213,8 @@ class TestText:
         # Values of one to seven digits, ids of one to four, on both L1 paths.
         for big in (254, 10**6):
             vectors = [(0,) * 12, (9,) + (0,) * 11, (big,) * 12, (1, 2) * 6, (big // 10,) * 12]
-            apps = tuple(
-                Application(
-                    id=app_id,
-                    name=f"a{app_id}",
-                    entities=tuple(
-                        Entity(f"e{i}", term.role, term.tangibility, Count(n))
-                        for i, (term, n) in enumerate(zip(all_terms(), vector))
-                        if n
-                    ),
-                )
-                for app_id, vector in zip((1000, 5, 42, 7, 3), vectors)
-            )
-            report = analytics_report(Corpus(apps), metric=Metric.L1)
+            corpus = _vector_corpus(dict(zip((1000, 5, 42, 7, 3), vectors)))
+            report = analytics_report(corpus, metric=Metric.L1)
             matrix = report.matrix
             ids = [str(i) for i in matrix.ids]
             widths = [
@@ -225,6 +238,90 @@ class TestText:
     def test_unrenderable_type(self):
         with pytest.raises(TypeError):
             render_text(42)
+
+
+def _reference_matrix(matrix) -> tuple[list[str], str]:
+    """The text lines and CSV of the matrix, formatted cell by cell from its
+    int tuples; a column is as wide as its id or its widest cell."""
+    ids, rows = matrix.ids, matrix.rows
+    widths = [max([len(str(i)), *(len(str(row[j])) for row in rows)]) for j, i in enumerate(ids)]
+    first = max([2, *(len(str(i)) for i in ids)])
+    lines = [
+        "  " + "  ".join(str(cell).rjust(w) for cell, w in zip([key, *cells], [first, *widths]))
+        for key, cells in [("id", ids), *zip(ids, rows)]
+    ]
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerows(
+        [["id", *ids], *([i, *row] for i, row in zip(ids, rows))]
+    )
+    return lines, buffer.getvalue()
+
+
+# Masks by id.  0x00F, 0x03F, 0x07F and 0x0F0 are within 9 of every mask used
+# here, and 0x000 and 0x001 are 12 and 11 from 0xFFF: ids 1-9 alternate
+# one-digit and two-digit columns.
+RUNS = {
+    1: 0x03F, 2: 0x000, 3: 0x00F, 4: 0xFFF, 5: 0x03F, 6: 0x000, 7: 0x0F0, 8: 0x001, 9: 0x07F,
+    10: 0x00F, 11: 0xFFF, 99: 0x03F, 100: 0x000, 101: 0x0F0, 999: 0x001, 1000: 0xFFF, 1001: 0x03F,
+}
+
+
+class TestMatrixFormats:
+    """The byte-path matrix against per-cell formatting of its int tuples:
+    ``str.rjust`` per column, ``csv.writer`` and ``json.dumps``."""
+
+    @staticmethod
+    def _check(corpus, metric):
+        report = analytics_report(corpus, metric=metric)
+        text, csv_text, json_text = (render(report, fmt) for fmt in ("text", "csv", "json"))
+        lines, csv_rows = _reference_matrix(report.matrix)
+        assert text.split(f"distance matrix ({metric.value}):\n")[1].splitlines() == lines
+        assert csv_text.rsplit("\n\n", 1)[1] == csv_rows
+        payload = json.dumps(report.payload(), separators=(",", ":"), ensure_ascii=False)
+        assert json_text == payload + "\n"
+        return report.matrix, lines
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    def test_runs_of_widths_and_id_boundaries(self, metric):
+        matrix, lines = self._check(_vector_corpus({i: _bits(m) for i, m in RUNS.items()}), metric)
+        if metric is Metric.HAMMING:
+            header = "    id  1   2  3   4  5   6  7   8  9  10  11  99  100  101  999  1000  1001"
+            assert lines[0] == header
+            assert len(set(matrix.distinct)) == len(matrix.distinct) == 7
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("size", [0, 1])
+    def test_no_and_one_application(self, metric, size):
+        self._check(_vector_corpus({9: _bits(0x0F0)} if size else {}), metric)
+
+    @pytest.mark.parametrize("big", [3, 254, 70_000], ids=["lanes", "widest lane", "pairwise"])
+    def test_l1_on_both_paths(self, big):
+        vectors = {i: (big * (i % 2), i % 7) + (big // 2,) * 10 for i in (1, 2, 9, 10, 99, 100)}
+        vectors[1000] = vectors[2]
+        matrix, _ = self._check(_vector_corpus(vectors), Metric.L1)
+        assert isinstance(matrix.distinct[0], tuple) is (big > 254)
+        assert max(map(max, matrix.rows)) == big + 2
+
+    @given(
+        st.dictionaries(
+            st.sampled_from([*range(1, 13), 98, 99, 100, 101, 999, 1000, 1001]),
+            st.integers(0, 4095),
+            max_size=17,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_hamming_corpus(self, masks):
+        self._check(_vector_corpus({i: _bits(m) for i, m in masks.items()}), Metric.HAMMING)
+
+    @pytest.mark.parametrize("metric", list(Metric))
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json", "dot"])
+    def test_rendering_builds_no_int_rows(self, metric, fmt):
+        corpus = _vector_corpus({i: _bits(m) for i, m in RUNS.items()})
+        report = analytics_report(corpus, metric=metric)
+        render(report, fmt)
+        assert "rows" not in vars(report.matrix)
+        report.matrix.rows
+        assert "rows" in vars(report.matrix)
 
 
 class TestCsv:
