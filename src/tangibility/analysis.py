@@ -87,18 +87,18 @@ class Cluster:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """``distinct``: one row per distinct key (per application on the
-    pair-by-pair L1 path); ``index``: in id order, each application's row."""
+    """``_distinct``: one row per distinct key (per application on the
+    pair-by-pair L1 path); ``_index``: in id order, each application's row."""
 
     metric: Metric
     ids: tuple[int, ...]
-    distinct: tuple[Sequence[int], ...] = field(hash=False)  # an array is unhashable
-    index: tuple[int, ...]
+    _distinct: tuple[Sequence[int], ...] = field(hash=False)  # an array is unhashable
+    _index: tuple[int, ...]
 
     @cached_property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Int tuples, built on first read; applications with one row share one tuple."""
-        return tuple(map([*map(tuple, self.distinct)].__getitem__, self.index))
+        return tuple(map([*map(tuple, self._distinct)].__getitem__, self._index))
 
 
 @dataclass(frozen=True)
@@ -246,8 +246,10 @@ def _lane_rows(
     of its key; no lane's sum may outgrow the lane.  1-byte rows stay bytes."""
     order = sys.byteorder
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
-    # Each column's distances to each byte it holds (an L1 lane's pad byte too).
-    sums = [{v: int.from_bytes(c.translate(table(v)), order) for v in set(c)} for c in columns]
+    sums = [
+        {v: int.from_bytes(c.translate(table(v)), order) for v in set(vals)}
+        for c, vals in zip(columns, zip(*distinct))
+    ]
     rows = [sum(map(dict.__getitem__, sums, k)).to_bytes(len(columns[0]), order) for k in distinct]
     rows = [row if lane == "B" else array(lane, row) for row in rows]
     return tuple(rows), tuple(map(distinct.__getitem__, keys))

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 from dataclasses import dataclass
-from itertools import accumulate, groupby
 from typing import Any, Iterable, Iterator
 
 from .analysis import (
@@ -101,42 +100,27 @@ class _Padded(dict):
 def _matrix_cells(matrix: DistanceMatrix) -> list[str]:
     """Each distinct row's cells joined by commas, formatted once per row."""
     if matrix.metric is Metric.HAMMING:
-        return [row.translate(_HAMMING_HEX).hex(",").replace("f", "") for row in matrix.distinct]
+        return [row.translate(_HAMMING_HEX).hex(",").replace("f", "") for row in matrix._distinct]
     strings = _Padded(0)
-    return [",".join(map(strings.__getitem__, row)) for row in matrix.distinct]
+    return [",".join(map(strings.__getitem__, row)) for row in matrix._distinct]
 
 
 def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     """The matrix as an indented right-aligned table, formatted line by line.
 
     A distance matrix is symmetric, so column j is as wide as id j or the
-    largest value of row j (a Hamming distance has at most two digits).
+    largest value of row j.  Columns of one width share one cell lookup.
     """
     ids = [str(i) for i in matrix.ids]
-    hamming = matrix.metric is Metric.HAMMING
     # An L1 row is read cell by cell twice, so it is boxed into ints once.
-    rows = matrix.distinct if hamming else [tuple(row) for row in matrix.distinct]
-    widths = [
-        len(i) if hamming and len(i) > 1 else max(len(i), len(str(max(rows[k]))))
-        for i, k in zip(ids, matrix.index)
-    ]
-    if hamming:  # a run of equal-width columns at a time, from the row's hex
-        stops = list(accumulate(len(list(run)) for _, run in groupby(widths)))
-        runs = [(a, b, " " * widths[a]) for a, b in zip([0, *stops], stops)]
-        cells = [
-            "".join(
-                pad + row[a:b].translate(_HAMMING_HEX).hex(",").replace(",", pad)
-                for a, b, pad in runs
-            ).replace("f", " ")
-            for row in rows
-        ]
-    else:
-        padded = {width: _Padded(width + 2) for width in set(widths)}
-        columns = [padded[width] for width in widths]
-        cells = ["".join(map(dict.__getitem__, columns, row)) for row in rows]
+    rows = [row if isinstance(row, bytes) else tuple(row) for row in matrix._distinct]
+    widths = [max(len(i), len(str(max(rows[k])))) for i, k in zip(ids, matrix._index)]
+    padded = {width: _Padded(width + 2) for width in set(widths)}
+    columns = [padded[width] for width in widths]
+    cells = ["".join(map(dict.__getitem__, columns, row)) for row in rows]
     first = max([2, *map(len, ids)])
     yield "  " + "  ".join(["id".rjust(first), *map(str.rjust, ids, widths)])
-    for i, k in zip(ids, matrix.index):
+    for i, k in zip(ids, matrix._index):
         yield "  " + i.rjust(first) + cells[k]
 
 
@@ -324,7 +308,7 @@ class Analytics:
             for row in tab.rows
         ]
         cells = _matrix_cells(matrix)
-        matrix_rows = [f"{i},{cells[k]}\n" for i, k in zip(matrix.ids, matrix.index)]
+        matrix_rows = [f"{i},{cells[k]}\n" for i, k in zip(matrix.ids, matrix._index)]
         return [
             statistics,
             *self.coverage.csv_tables(),
@@ -445,7 +429,7 @@ def render_json(report: Any) -> str:
         return _json(_checked(report, "JSON").payload()) + "\n"
     # The matrix rows end the payload: its "null}}" gives way to each distinct row's cells.
     rows = ["[" + cells + "]" for cells in _matrix_cells(report.matrix)]
-    joined = ",".join(map(rows.__getitem__, report.matrix.index))
+    joined = ",".join(map(rows.__getitem__, report.matrix._index))
     return _json(report._payload(None))[: -len("null}}")] + "[" + joined + "]}}\n"
 
 

@@ -287,7 +287,7 @@ class TestMatrixFormats:
         if metric is Metric.HAMMING:
             header = "    id  1   2  3   4  5   6  7   8  9  10  11  99  100  101  999  1000  1001"
             assert lines[0] == header
-            assert len(set(matrix.distinct)) == len(matrix.distinct) == 7
+            assert len(set(matrix._distinct)) == len(matrix._distinct) == 7
 
     @pytest.mark.parametrize("metric", list(Metric))
     @pytest.mark.parametrize("size", [0, 1])
@@ -299,7 +299,7 @@ class TestMatrixFormats:
         vectors = {i: (big * (i % 2), i % 7) + (big // 2,) * 10 for i in (1, 2, 9, 10, 99, 100)}
         vectors[1000] = vectors[2]
         matrix, _ = self._check(_vector_corpus(vectors), Metric.L1)
-        assert isinstance(matrix.distinct[0], tuple) is (big > 254)
+        assert isinstance(matrix._distinct[0], tuple) is (big > 254)
         assert max(map(max, matrix.rows)) == big + 2
 
     @given(
