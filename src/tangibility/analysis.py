@@ -5,7 +5,7 @@ multiplicity: a record counted "many" is still one record.  Hallmark-level
 views (clusters, distances) sum multiplicities instead.  All outputs are
 deterministically ordered so downstream renderings are byte-stable.
 
-The distance matrix is computed one distinct key at a time, in CPython's
+The distance matrix keeps one row per distinct key, computed in CPython's
 byte loops rather than per cell.  Each key component is one ``bytes``
 column across the applications; ``bytes.translate`` through a 256-byte
 table turns a column into its distances to one value, read as a big int and
@@ -15,7 +15,7 @@ Hamming keys are the mask in two 1-byte lanes (low 8 bits, high 4; a lane
 sums to at most 12), kept as ``bytes``.  L1 keys are the twelve components
 in 2-byte lanes (the value, then a pad byte of 255 that the table maps to
 0; a lane sums to at most 12 * 254), kept as ``array('H')``, so they need
-every component below 255; otherwise the matrix is summed pair by pair.
+every component below 255; otherwise the rows are summed pair by pair.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from array import array
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from operator import sub
-from typing import Callable, Sequence, Union
+from typing import Callable, Collection, Sequence, Union
 
 from .classify import classify
 from .hallmark import BinaryHallmark, Hallmark, SymbolicCountError, binarize
@@ -87,8 +87,7 @@ class Cluster:
 
 @dataclass(frozen=True)
 class DistanceMatrix:
-    """``_distinct``: one row per distinct key (per application on the
-    pair-by-pair L1 path); ``_index``: in id order, each application's row."""
+    """``_distinct``: one row per distinct key; ``_index``: each application's row, by id."""
 
     metric: Metric
     ids: tuple[int, ...]
@@ -211,18 +210,20 @@ def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
                     f"symbolic count 'many' in application {app.id}; "
                     "L1 distance is undefined"
                 )
-        vectors = [tuple(c.value for c in mark.components) for _, mark in pairs]
-        if max(map(max, vectors), default=0) < _PAD:
-            # A lane: the value in its low byte, the pad (mapped to 0) in its high one.
-            lanes = [array("H", [_PAD << 8 | x for x in c]).tobytes() for c in zip(*vectors)]
-            rows = _lane_rows(vectors, lanes, _abs_diff_table, "H")
-        else:
-            rows = _l1_rows(vectors), tuple(range(len(vectors)))
+        keys = [tuple(c.value for c in mark.components) for _, mark in pairs]
     else:
-        halves = [(mark.mask & 0xFF, mark.mask >> 8) for _, mark in pairs]
-        lanes = [bytes(c) for c in zip(*halves)]
-        rows = _lane_rows(halves, lanes, _xor_popcount_table, "B")
-    return DistanceMatrix(metric, tuple(app.id for app, _ in pairs), *rows)
+        keys = [(mark.mask & 0xFF, mark.mask >> 8) for _, mark in pairs]
+    distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
+    index = tuple(map(distinct.__getitem__, keys))
+    if metric is Metric.HAMMING:
+        rows = _lane_rows(distinct, [bytes(c) for c in zip(*keys)], _xor_popcount_table)
+    elif max(map(max, distinct), default=0) < _PAD:
+        # A lane: the value in its low byte, the pad (mapped to 0) in its high one.
+        lanes = [array("H", [_PAD << 8 | x for x in c]).tobytes() for c in zip(*keys)]
+        rows = [array("H", row) for row in _lane_rows(distinct, lanes, _abs_diff_table)]
+    else:
+        rows = _l1_rows(list(distinct), index)
+    return DistanceMatrix(metric, tuple(app.id for app, _ in pairs), tuple(rows), index)
 
 
 @cache
@@ -238,43 +239,39 @@ def _abs_diff_table(v: int) -> bytes:
 
 
 def _lane_rows(
-    keys: list[tuple[int, ...]], columns: list[bytes], table: Callable[[int], bytes], lane: str
-) -> tuple[tuple[Sequence[int], ...], tuple[int, ...]]:
+    distinct: Collection[tuple[int, ...]], columns: list[bytes], table: Callable[[int], bytes]
+) -> list[bytes]:
     """Distance rows as lane sums (see the module docstring), one per distinct
-    key, and each key's index.  Column c holds one ``lane`` (an ``array`` type
-    code, native byte order) per application, whose low byte is component c
-    of its key; no lane's sum may outgrow the lane.  1-byte rows stay bytes."""
+    key.  Column c holds one lane (native byte order) per application, whose
+    low byte is component c of its key; no lane's sum may outgrow the lane."""
     order = sys.byteorder
-    distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     sums = [
         {v: int.from_bytes(c.translate(table(v)), order) for v in set(vals)}
         for c, vals in zip(columns, zip(*distinct))
     ]
-    rows = [sum(map(dict.__getitem__, sums, k)).to_bytes(len(columns[0]), order) for k in distinct]
-    rows = [row if lane == "B" else array(lane, row) for row in rows]
-    return tuple(rows), tuple(map(distinct.__getitem__, keys))
+    return [sum(map(dict.__getitem__, sums, k)).to_bytes(len(columns[0]), order) for k in distinct]
 
 
-def _l1_rows(vectors: list[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """The L1 matrix of int vectors.  It is symmetric, so each distance is
-    computed once: row i takes its first i cells from the rows before it."""
-    rows: list[tuple[int, ...]] = []
-    for i, a in enumerate(vectors):
-        after = [sum(map(abs, map(sub, a, b))) for b in vectors[i + 1 :]]
-        rows.append(tuple([row[i] for row in rows] + [0] + after))
-    return tuple(rows)
+def _l1_rows(keys: list[tuple[int, ...]], index: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """The L1 rows of distinct int vectors, expanded through ``index``.  Each
+    distance is computed once: row i takes its first i cells from the rows before it."""
+    rows: list[list[int]] = []
+    for i, a in enumerate(keys):
+        after = [sum(map(abs, map(sub, a, b))) for b in keys[i + 1 :]]
+        rows.append([row[i] for row in rows] + [0] + after)
+    return [tuple(map(row.__getitem__, index)) for row in rows]
 
 
 def cross_tab(corpus: Corpus, key: str) -> CrossTab:
     """Class membership tabulated by genre or subgenre.
 
-    Applications lacking the key are grouped under "(none)".  Rows are
-    sorted by label with "(none)" last; within a cell, ids ascend.
+    Rows group applications by the key's value, sorted, and those lacking
+    the key last, labelled "(none)"; within a cell, ids ascend.
     """
     if key not in ("genre", "subgenre"):
         raise ValueError(f"key must be 'genre' or 'subgenre', got {key!r}")
     apps = []
-    grouped: dict[str, dict[str, list[int]]] = {}
+    grouped: dict[str | None, dict[str, list[int]]] = {}
     for app, mark in _by_id(corpus):
         label = classify(mark).label
         entry = CrossTabApp(
@@ -285,14 +282,13 @@ def cross_tab(corpus: Corpus, key: str) -> CrossTab:
             class_label=label,
         )
         apps.append(entry)
-        cells = grouped.setdefault(getattr(entry, key), {c: [] for c in CLASS_LABELS})
+        cells = grouped.setdefault(getattr(app, key), {c: [] for c in CLASS_LABELS})
         cells[label].append(app.id)
-    labels = sorted(grouped, key=lambda lb: (lb == NONE_LABEL, lb))
     rows = tuple(
         CrossTabRow(
-            label,
-            {c: tuple(ids) for c, ids in grouped[label].items()},
+            NONE_LABEL if value is None else value,
+            {c: tuple(ids) for c, ids in grouped[value].items()},
         )
-        for label in labels
+        for value in sorted(grouped, key=lambda v: (v is None, v or ""))
     )
     return CrossTab(key=key, rows=rows, apps=tuple(apps))

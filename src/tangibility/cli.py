@@ -211,7 +211,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands["analyze"].add_argument(
         "--metric",
-        choices=("l1", "hamming"),
+        choices=[metric.value for metric in Metric],
         default="hamming",
         help="distance metric (default: hamming)",
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Union
 
-from .model import Application, Count
+from .model import Application, Count, is_integer
 from .terms import Term, term_of
 
 __all__ = [
@@ -40,7 +40,7 @@ def _as_count(value: Union[int, str, Count]) -> Count:
         return value
     if value == "many":
         return Count.MANY
-    if isinstance(value, int) and not isinstance(value, bool):
+    if is_integer(value):
         return Count(value)
     raise TypeError(f"component must be an int, 'many', or Count, got {value!r}")
 

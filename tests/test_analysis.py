@@ -329,9 +329,9 @@ class TestDistanceMatrix:
         calls = []
         rows = analysis._l1_rows
 
-        def counted(vectors):
-            calls.append(len(vectors))
-            return rows(vectors)
+        def counted(keys, index):
+            calls.append(len(index))
+            return rows(keys, index)
 
         monkeypatch.setattr(analysis, "_l1_rows", counted)
         return calls
@@ -363,14 +363,19 @@ class TestDistanceMatrix:
         assert (one.ids, one.rows) == ((7,), ((0,),))
 
     def test_equal_keys_share_one_row(self):
-        vectors = [[2, 1] + [0] * 10, [1, 2] + [0] * 10, [2, 1] + [0] * 10]
-        corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
-        hamming = distance_matrix(corpus, Metric.HAMMING)
-        assert hamming.rows[0] is hamming.rows[1] is hamming.rows[2]
-        l1 = distance_matrix(corpus, Metric.L1)
-        assert l1.rows[0] is l1.rows[2]
-        assert l1.rows[0] is not l1.rows[1]
-        assert l1.rows == ((0, 2, 0), (2, 0, 2), (0, 2, 0))
+        # 2 keeps the L1 lanes; 255 takes the pair-by-pair path.
+        for big in (2, 255):
+            vectors = [[big, 1] + [0] * 10, [1, big] + [0] * 10, [big, 1] + [0] * 10]
+            corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
+            hamming = distance_matrix(corpus, Metric.HAMMING)
+            assert len(hamming._distinct) == 1
+            assert hamming.rows[0] is hamming.rows[1] is hamming.rows[2]
+            l1 = distance_matrix(corpus, Metric.L1)
+            assert len(l1._distinct) == 2
+            assert l1.rows[0] is l1.rows[2]
+            assert l1.rows[0] is not l1.rows[1]
+            d = 2 * (big - 1)
+            assert l1.rows == ((0, d, 0), (d, 0, d), (0, d, 0))
 
 
 class TestCrossTab:
@@ -416,3 +421,47 @@ class TestCrossTab:
         assert table.rows[1].cells["I"] == (1,)
         assert table.apps[0].genre == "(none)"
         assert table.apps[0].subgenre == "(none)"
+
+    def test_a_genre_named_none_is_its_own_row(self):
+        entities = _app(9, "datible").entities
+        corpus = Corpus(
+            (
+                Application(id=1, name="named", genre="(none)", entities=entities),
+                Application(id=2, name="bare", entities=entities),
+            )
+        )
+        table = cross_tab(corpus, "genre")
+        assert [row.label for row in table.rows] == ["(none)", "(none)"]
+        assert [row.cells["I"] for row in table.rows] == [(1,), (2,)]
+
+    @given(
+        st.lists(
+            st.tuples(*[st.sampled_from([None, "(none)", "Alpha", "Beta"])] * 2),
+            max_size=12,
+        ),
+        st.sampled_from(["genre", "subgenre"]),
+    )
+    @settings(max_examples=100)
+    def test_rows_partition_the_applications_by_key_value(self, keys, key):
+        corpus = Corpus(
+            tuple(
+                Application(
+                    id=i + 1,
+                    name=f"app {i + 1}",
+                    genre=genre,
+                    subgenre=subgenre,
+                    entities=_app(9, "datible").entities,
+                )
+                for i, (genre, subgenre) in enumerate(keys)
+            )
+        )
+        value = {app.id: getattr(app, key) for app in corpus.applications}
+        rows = cross_tab(corpus, key).rows
+        groups = [sorted(i for ids in row.cells.values() for i in ids) for row in rows]
+        assert sorted(i for ids in groups for i in ids) == sorted(value)
+        present = set(value.values())
+        assert [value[ids[0]] for ids in groups] == (
+            sorted(present - {None}) + [None] * (None in present)
+        )
+        for ids in groups:
+            assert ids == [i for i in sorted(value) if value[i] == value[ids[0]]]
