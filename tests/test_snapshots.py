@@ -2,7 +2,8 @@
 
 Every report command runs in every format it offers: classify, hallmark,
 cluster and cluster --binary in text/CSV/JSON, and analyze in
-text/CSV/JSON/DOT for both --key values and both --metric values.
+text/CSV/JSON/DOT for both --key values and both --metric values.  The
+ingest commands run too: validate, and export as text and as JSON.
 
 - The golden corpus is pinned verbatim: stdout in
   ``snapshots/golden/<case>.out``, stderr and exit code in
@@ -17,8 +18,9 @@ text/CSV/JSON/DOT for both --key values and both --metric values.
 
 Generated corpora are fed as JSON on stdin, so diagnostics name
 ``<stdin>`` and do not depend on a temporary path.  The snapshots record
-the behaviour the program had when they were written; a deliberate
-output change regenerates them with
+the behaviour the program had when they were written.  Regenerate them,
+only to add pins or for an intended output change recorded in that
+change's own commit, with
 
     PYTHONPATH=src python tests/test_snapshots.py
 """
@@ -63,7 +65,11 @@ LARGE = {
 
 
 def _cases() -> dict[str, list[str]]:
-    cases = {}
+    cases = {
+        "validate": ["validate"],
+        "export-text": ["export"],
+        "export-json": ["export", "--format", "json"],
+    }
     for fmt in ("text", "csv", "json"):
         for command in ("classify", "hallmark", "cluster"):
             cases[f"{command}-{fmt}"] = [command, "--format", fmt]
