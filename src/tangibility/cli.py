@@ -58,7 +58,7 @@ def _emit(text: str, stderr: bool = False) -> OSError | ValueError | None:
     try:
         if hasattr(stream, "buffer"):  # backslashreplace keeps a file name's lone surrogates
             stream.buffer.write(text.encode("utf-8", "backslashreplace"))
-        else:  # a text-only stream, such as io.StringIO
+        else:  # a text-only stream; only bench/run.py's Sink still passes one
             stream.write(text)
         stream.flush()
     except (OSError, ValueError) as exc:
@@ -108,10 +108,10 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
                 if args.input != "-":
                     with open(args.input, "rb") as handle:
                         data = handle.read()
-                elif sys.stdin is None:  # fd 0 was closed when Python started
+                elif getattr(sys.stdin, "buffer", None) is None:  # fd 0 closed, or text-only
                     raise OSError("standard input is closed")
-                else:  # bytes, or a str from a text-only stream such as io.StringIO
-                    data = getattr(sys.stdin, "buffer", sys.stdin).read()
+                else:
+                    data = sys.stdin.buffer.read()
                 corpus, diagnostics = _read(data)
             _print_diagnostics(diagnostics, label)
             if any(d.is_error for d in diagnostics):

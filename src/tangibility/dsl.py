@@ -546,10 +546,9 @@ class _JsonReader:
         if not isinstance(node, dict):
             self.check.error(f"{ctx}: must be an object")
             return False
-        if not known.issuperset(node):
-            for key in node:
-                if key not in known:
-                    self.check.warning(f"{ctx}: unknown key {key!r}")
+        for key in node:
+            if key not in known:
+                self.check.warning(f"{ctx}: unknown key {key!r}")
         return True
 
     def _field(self, node: dict, ctx: str, key: str, required: bool = False) -> Any:
@@ -650,9 +649,9 @@ def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
     return _all_or_nothing(corpus, reader.check)
 
 
-def _read(data: bytes | str) -> tuple[Corpus, list[Diagnostic]]:
-    """Read UTF-8 bytes, decoded with "surrogateescape", or the text of a text-only
-    stream: JSON interchange if it starts with "{" or "[", the annotation format otherwise."""
-    text = data.decode("utf-8", "surrogateescape") if isinstance(data, bytes) else data
+def _read(data: bytes) -> tuple[Corpus, list[Diagnostic]]:
+    """Read UTF-8 bytes, decoded with "surrogateescape": JSON interchange if the
+    text starts with "{" or "[", the annotation format otherwise."""
+    text = data.decode("utf-8", "surrogateescape")
     is_json = text.removeprefix("\ufeff").lstrip().startswith(("{", "["))
     return import_json(text) if is_json else parse_corpus(text)

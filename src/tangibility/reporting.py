@@ -112,8 +112,7 @@ def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     largest value of row j.  Columns of one width share one cell lookup.
     """
     ids = [str(i) for i in matrix.ids]
-    # An L1 row is read cell by cell twice, so it is boxed into ints once.
-    rows = [row if isinstance(row, bytes) else tuple(row) for row in matrix._distinct]
+    rows = matrix._distinct
     widths = [max(len(i), len(str(max(rows[k])))) for i, k in zip(ids, matrix._index)]
     padded = {width: _Padded(width + 2) for width in set(widths)}
     columns = [padded[width] for width in widths]

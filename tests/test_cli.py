@@ -105,19 +105,19 @@ class TestValidate:
         assert err[len(usage) :].startswith(f"tangibility classify: error: {message}")
 
     def test_stdin(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(GOOD))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(GOOD.encode())))
         assert main(["validate", "-"]) == 0
         assert capsys.readouterr().err == ""
 
     def test_stdin_error_label(self, monkeypatch, capsys):
-        monkeypatch.setattr("sys.stdin", io.StringIO(BROKEN))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(BROKEN.encode())))
         assert main(["validate", "-"]) == 1
         assert capsys.readouterr().err.startswith("<stdin>:4:11: error:")
 
     def test_json_input_autodetected(self, tmp_path, monkeypatch, capsys):
         assert main(["export", "--golden", "--format", "json"]) == 0
         exported = capsys.readouterr().out
-        monkeypatch.setattr("sys.stdin", io.StringIO(exported))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(exported.encode())))
         assert main(["validate", "-"]) == 0
         assert capsys.readouterr().err == ""
 
@@ -281,7 +281,7 @@ class TestExport:
         assert exported.endswith("\n")
         payload = json.loads(exported)
         assert len(payload["applications"]) == 33
-        monkeypatch.setattr("sys.stdin", io.StringIO(exported))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(exported.encode())))
         assert main(["export", "-", "--format", "json"]) == 0
         assert capsys.readouterr().out == exported
 
@@ -385,7 +385,8 @@ class TestInputEncoding:
             path.write_text("\ufeff" + canonical, encoding="utf-8")
             argv = ["export", str(path), "--format", fmt]
         else:
-            monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + canonical))
+            stdin = io.BytesIO(("\ufeff" + canonical).encode())
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(stdin))
             argv = ["export", "-", "--format", fmt]
         assert main(argv) == 0
         captured = capsys.readouterr()
@@ -446,7 +447,7 @@ class TestInputEncoding:
         node[path[-1]] = f"x{line_break}y"
         text = json.dumps({"applications": [app]})
         for command in ("validate", "export"):
-            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
             assert main([command, "-"]) == 1
             expected = f"<stdin>: error: {where} must not contain a line break\n"
             assert capsys.readouterr() == ("", expected)
@@ -648,7 +649,7 @@ def test_every_command_agrees_with_validate(name, monkeypatch, capsys):
     text, verdict, l1_refused = HOSTILE[name]
     exits = {}
     for argv in COMMANDS:
-        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(text.encode())))
         exits[" ".join(argv)] = main([argv[0], "-", *argv[1:]])  # raising fails the test
         capsys.readouterr()
     assert exits["validate"] == verdict
@@ -852,6 +853,13 @@ def test_closed_stdin():
         b"",
         b"<stdin>: error: standard input is closed\n",
     )
+
+
+def test_text_only_stdin_reads_as_closed(monkeypatch, capsys):
+    """Input is read as bytes, so a stdin object without a byte buffer is closed."""
+    monkeypatch.setattr("sys.stdin", io.StringIO(GOOD))
+    assert main(["validate", "-"]) == 1
+    assert capsys.readouterr() == ("", "<stdin>: error: standard input is closed\n")
 
 
 # Inputs read from a file and from stdin, each with every line-end convention:

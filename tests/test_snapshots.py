@@ -106,20 +106,26 @@ def _large_corpus(name: str) -> str:
     return export_json(corpus)
 
 
-def run_cli(argv: list[str], stdin_text: str = "") -> tuple[int, str, str]:
-    out, err = io.StringIO(), io.StringIO()
+def _byte_stream(data: bytes = b"") -> io.TextIOWrapper:
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+
+def run_cli(argv: list[str], stdin_text: str = "") -> tuple[int, bytes, str]:
+    """main(argv) on byte-backed standard streams, as in a real process: the
+    exit code, the bytes written to stdout and the text written to stderr."""
+    out, err = _byte_stream(), _byte_stream()
     saved_stdin = sys.stdin
-    sys.stdin = io.StringIO(stdin_text)
+    sys.stdin = _byte_stream(stdin_text.encode("utf-8"))
     try:
         with redirect_stdout(out), redirect_stderr(err):
             code = main(argv)
     finally:
         sys.stdin = saved_stdin
-    return code, out.getvalue(), err.getvalue()
+    return code, out.buffer.getvalue(), err.buffer.getvalue().decode("utf-8")
 
 
-def _digest(code: int, stdout: str, stderr: str) -> str:
-    framed = json.dumps([code, stdout, stderr], ensure_ascii=False)
+def _digest(code: int, stdout: bytes, stderr: str) -> str:
+    framed = json.dumps([code, stdout.decode("utf-8"), stderr], ensure_ascii=False)
     return hashlib.sha256(framed.encode("utf-8")).hexdigest()
 
 
@@ -133,7 +139,7 @@ def test_golden(case):
     code, stdout, stderr = run_cli(CASES[case] + ["--golden"])
     assert code == status["exit"]
     assert stderr == status["stderr"]
-    assert stdout.encode("utf-8") == (GOLDEN_DIR / f"{case}.out").read_bytes()
+    assert stdout == (GOLDEN_DIR / f"{case}.out").read_bytes()
 
 
 @pytest.mark.parametrize("name", GENERATED)
@@ -157,7 +163,7 @@ def _write_snapshots() -> None:
     status = {}
     for case, argv in CASES.items():
         code, stdout, stderr = run_cli(argv + ["--golden"])
-        (GOLDEN_DIR / f"{case}.out").write_bytes(stdout.encode("utf-8"))
+        (GOLDEN_DIR / f"{case}.out").write_bytes(stdout)
         status[case] = {"exit": code, "stderr": stderr}
     digests = {name: _corpus_digests(_generated_corpus(name)) for name in GENERATED}
     digests.update({name: _corpus_digests(_large_corpus(name), ANALYZE) for name in LARGE})
