@@ -1,13 +1,21 @@
-"""Seeded random builders shared by round-trip and property tests."""
+"""Seeded random builders and hypothesis strategies shared by round-trip
+and property tests."""
 
 from __future__ import annotations
 
 import random
 
+from hypothesis import strategies as st
+
 from tangibility import Application, Corpus, Count, Entity, Hallmark, Role, Tangibility
+from tangibility.terms import TERMS
 
 # Deliberately hostile: quotes, backslashes, braces, comment marks, unicode.
 NAME_CHARS = 'abcdefXYZ0189 _-#{}[]:,"\\()\u00e9\u00d7'
+# Names, genres and subgenres are all drawn from these, so they collide with
+# one another, with DOT's class nodes and with the "(none)" printed for a
+# missing key; they hold quotes, a backslash and non-ASCII text.
+COLLIDING_LABELS = ("(none)", "G", "Class I", "Unclassified", 'say "hi" \\ there', "G\u00e9nre \u00d7")
 
 
 def _name(rng: random.Random, prefix: str = "") -> str:
@@ -58,3 +66,30 @@ def random_hallmark(rng: random.Random, allow_many: bool = True) -> Hallmark:
     if allow_many:
         pool.append("many")
     return Hallmark.of(*(rng.choice(pool) for _ in range(12)))
+
+
+@st.composite
+def colliding_corpus(draw) -> Corpus:
+    """A corpus that loads, whose printed labels collide: see ``COLLIDING_LABELS``.
+    A missing genre or subgenre is as likely as each label, ids are out of
+    order, and counts include 300 (so L1 sums pair by pair) and "many"."""
+    labels = st.sampled_from(COLLIDING_LABELS)
+    names = draw(st.lists(labels, unique=True, max_size=len(COLLIDING_LABELS)))
+    ids = draw(st.lists(st.integers(1, 99), unique=True, min_size=len(names), max_size=len(names)))
+    counts = st.sampled_from([Count(1), Count(2), Count(300), Count.MANY])
+    entities = st.lists(st.tuples(st.sampled_from(TERMS), counts), max_size=4)
+    return Corpus(
+        tuple(
+            Application(
+                id=app_id,
+                name=name,
+                genre=draw(st.none() | labels),
+                subgenre=draw(st.none() | labels),
+                entities=tuple(
+                    Entity(f"e{i}", term.role, term.tangibility, count)
+                    for i, (term, count) in enumerate(draw(entities))
+                ),
+            )
+            for app_id, name in zip(ids, names)
+        )
+    )

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import csv
 import io
 import json
 import os
@@ -12,9 +13,13 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from corpusgen import colliding_corpus
+from hypothesis import given, settings
+from test_snapshots import CASES, run_cli
 
 import tangibility
-from tangibility import cli, golden
+from tangibility import classify, cli, export_json, golden
+from tangibility.analysis import CLASS_LABELS
 from tangibility.cli import main
 
 GOOD = """\
@@ -884,3 +889,61 @@ def test_file_and_stdin_are_read_alike(command, case, line_end, tmp_path):
     assert from_file.returncode == from_stdin.returncode == code
     assert from_file.stdout == from_stdin.stdout
     assert from_file.stderr.replace(str(path).encode(), b"<stdin>") == from_stdin.stderr
+
+
+def _dot_quote(label: str) -> str:
+    return '"' + label.replace("\\", "\\\\").replace('"', '\\"') + '"'
+
+
+def _csv_cross_tab(out: bytes, key: str) -> list[list[str]]:
+    """The cross-tab table's rows, without the header."""
+    rows = list(csv.reader(io.StringIO(out.decode("utf-8"))))
+    start = rows.index([key, *CLASS_LABELS]) + 1
+    return rows[start : rows.index([], start)]
+
+
+def _text_cross_tab_labels(out: bytes, key: str) -> list[str]:
+    lines = out.decode("utf-8").splitlines()
+    start = lines.index(f"cross-tab by {key}:") + 1
+    header, *rows = lines[start : lines.index("", start)]
+    width = header.index("I", 2 + len(key)) - 4  # the key column, padded
+    assert all(row[2 + width : 4 + width] == "  " for row in rows)
+    return [row[2 : 2 + width].rstrip() for row in rows]
+
+
+@pytest.mark.parametrize("key", ["genre", "subgenre"])
+@given(corpus=colliding_corpus())
+@settings(max_examples=100, deadline=None)
+def test_colliding_labels_print_alike_in_every_format(key, corpus):
+    """Labels that collide (with each other, DOT's class nodes or "(none)")
+    still give one cross-tab in text, CSV and JSON, and DOT one class edge
+    per application, in id order, naming the class ``classify`` gives."""
+    data = export_json(corpus)
+    outputs = {}
+    for fmt in ("text", "csv", "json", "dot"):
+        code, outputs[fmt], stderr = run_cli(["analyze", "--format", fmt, "--key", key, "-"], data)
+        assert code == 0, stderr
+    rows = json.loads(outputs["json"])["cross_tab"]["rows"]
+    assert _csv_cross_tab(outputs["csv"], key) == [
+        [row["label"], *(" ".join(map(str, row[c])) for c in CLASS_LABELS)] for row in rows
+    ]
+    assert _text_cross_tab_labels(outputs["text"], key) == [row["label"] for row in rows]
+    # Labels collide, so an edge is known by its place: class edges come last.
+    edges = [line for line in outputs["dot"].decode("utf-8").splitlines() if " -> " in line]
+    expected = []
+    for app, mark in sorted(zip(corpus.applications, corpus.hallmarks), key=lambda p: p[0].id):
+        label = classify(mark).label
+        node = "Unclassified" if label == "unclassified" else f"Class {label}"
+        expected.append(f"  {_dot_quote(app.name)} -> {_dot_quote(node)};")
+    assert edges[len(edges) - len(expected) :] == expected
+
+
+@given(corpus=colliding_corpus())
+@settings(max_examples=50, deadline=None)
+def test_every_case_exits_0_on_colliding_labels(corpus):
+    """Every command and format exits 0 on a corpus that loads, except L1 on "many"."""
+    data = export_json(corpus)
+    many = any(mark.has_many for mark in corpus.hallmarks)
+    for case, argv in CASES.items():
+        code, _, stderr = run_cli(argv + ["-"], data)
+        assert code == (1 if many and case.endswith("-l1") else 0), (case, stderr)

@@ -474,6 +474,15 @@ class TestDot:
         dot = render_dot(analytics_report(corpus))
         assert '"He said \\"go\\"" -> "Class I";' in dot
 
+    def test_each_application_keeps_its_own_class(self):
+        # A hand-built corpus may repeat an id; each application still gets its own class edge.
+        def app(name, term):
+            entity = Entity("e", parse_term(term).role, parse_term(term).tangibility)
+            return Application(id=1, name=name, genre="G", subgenre="S", entities=(entity,))
+
+        dot = render_dot(analytics_report(Corpus((app("one", "datible"), app("two", "opible")))))
+        assert dot.splitlines()[-3:-1] == ['  "one" -> "Class I";', '  "two" -> "Class IV";']
+
     def test_rejects_flat_reports(self):
         with pytest.raises(TypeError):
             render_dot(hallmark_table(load_golden()))

@@ -15,6 +15,11 @@ ingest commands run too: validate, and export as text and as JSON.
 - Three larger seeded corpora pin the analyze cases alone, in the same
   file: 1,000 applications with "many" (L1 refused), 1,000 without (the
   L1 lane kernel), and 300 where one term sums to 255 (L1 pair by pair).
+- One hand-built corpus whose printed labels collide on purpose pins every
+  case, in the same file: application names equal to a genre, a class node
+  or ``(none)``, a genre equal to its subgenre, genres and subgenres named
+  ``(none)`` next to missing ones, quotes, backslashes and non-ASCII text,
+  and one term summing to 300 (L1 pair by pair).
 
 Generated corpora are fed as JSON on stdin, so diagnostics name
 ``<stdin>`` and do not depend on a temporary path.  The snapshots record
@@ -39,7 +44,7 @@ from typing import Iterable
 
 import pytest
 
-from tangibility import Corpus, Count, Entity, Role, Tangibility, export_json
+from tangibility import Application, Corpus, Count, Entity, Role, Tangibility, export_json
 from tangibility.cli import main
 
 try:
@@ -62,6 +67,7 @@ LARGE = {
     "large-exact": (2, 1000, False, False),
     "large-wide": (3, 300, False, True),
 }
+COLLISIONS = "collisions"
 
 
 def _cases() -> dict[str, list[str]]:
@@ -103,6 +109,27 @@ def _large_corpus(name: str) -> str:
         first, *rest = corpus.applications
         entity = Entity("wide", Role.DATUM, Tangibility.TANGIBLE, Count(255))
         corpus = Corpus((replace(first, entities=(*first.entities, entity)), *rest))
+    return export_json(corpus)
+
+
+def _collision_corpus() -> str:
+    """Five applications, listed out of id order, whose labels collide."""
+
+    def app(app_id, name, genre, subgenre, *terms):
+        entities = tuple(
+            Entity(f"e{i}", Role(role), Tangibility(tangibility), Count(n))
+            for i, (role, tangibility, n) in enumerate(terms)
+        )
+        return Application(app_id, name, genre=genre, subgenre=subgenre, entities=entities)
+
+    corpus = Corpus((
+        app(5, "Génre ×", "Génre ×", "Unclassified",
+            ("datum", "intangible", 1), ("tool", "tangible", 2)),
+        app(1, "Class I", "G", "G", ("datum", "tangible", 200), ("datum", "tangible", 100)),
+        app(4, "(none)", 'Quote " and \\ back', None, ("operation", "tangible", 1)),
+        app(2, "G", "(none)", "S", ("datum", "tangible", 1), ("datum", "intangible", 3)),
+        app(3, "Unclassified", None, "(none)", ("tool", "intangible", 1)),
+    ))
     return export_json(corpus)
 
 
@@ -158,6 +185,11 @@ def test_large(name):
     assert actual == pinned
 
 
+def test_collisions():
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[COLLISIONS]
+    assert _corpus_digests(_collision_corpus()) == pinned
+
+
 def _write_snapshots() -> None:
     GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
     status = {}
@@ -167,6 +199,7 @@ def _write_snapshots() -> None:
         status[case] = {"exit": code, "stderr": stderr}
     digests = {name: _corpus_digests(_generated_corpus(name)) for name in GENERATED}
     digests.update({name: _corpus_digests(_large_corpus(name), ANALYZE) for name in LARGE})
+    digests[COLLISIONS] = _corpus_digests(_collision_corpus())
     for path, payload in ((GOLDEN_STATUS, status), (DIGESTS, digests)):
         path.write_text(
             json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
