@@ -40,7 +40,6 @@ __all__ = [
     "Cluster",
     "DistanceMatrix",
     "CrossTabRow",
-    "CrossTabApp",
     "CrossTab",
     "CLASS_LABELS",
     "term_coverage",
@@ -55,8 +54,6 @@ __all__ = [
 ]
 
 CLASS_LABELS = ("I", "II", "III", "IV", "unclassified")
-
-NONE_LABEL = "(none)"
 
 # The pad byte of an L1 lane, so the L1 kernel needs every component below it.
 _PAD = 255
@@ -102,24 +99,18 @@ class DistanceMatrix:
 
 @dataclass(frozen=True)
 class CrossTabRow:
-    label: str
+    label: str | None
     cells: dict[str, tuple[int, ...]]
 
 
 @dataclass(frozen=True)
-class CrossTabApp:
-    id: int
-    name: str
-    genre: str
-    subgenre: str
-    class_label: str
-
-
-@dataclass(frozen=True)
 class CrossTab:
+    """``apps``: the corpus's applications in id order; ``classes``: each one's class label."""
+
     key: str
     rows: tuple[CrossTabRow, ...]
-    apps: tuple[CrossTabApp, ...]
+    apps: tuple[Application, ...]
+    classes: tuple[str, ...]
 
 
 def term_coverage(corpus: Corpus) -> dict[Term, int]:
@@ -265,30 +256,20 @@ def _l1_rows(keys: list[tuple[int, ...]], index: tuple[int, ...]) -> list[tuple[
 def cross_tab(corpus: Corpus, key: str) -> CrossTab:
     """Class membership tabulated by genre or subgenre.
 
-    Rows group applications by the key's value, sorted, and those lacking
-    the key last, labelled "(none)"; within a cell, ids ascend.
+    Rows group applications by the key's raw value, sorted, and those lacking
+    the key last, as one row labelled ``None``; within a cell, ids ascend.
+    ``apps`` and ``classes`` list the corpus's applications and their class
+    labels in id order.
     """
     if key not in ("genre", "subgenre"):
         raise ValueError(f"key must be 'genre' or 'subgenre', got {key!r}")
-    apps = []
+    pairs = _by_id(corpus)
+    classes = tuple(classify(mark).label for _, mark in pairs)
     grouped: dict[str | None, dict[str, list[int]]] = {}
-    for app, mark in _by_id(corpus):
-        label = classify(mark).label
-        entry = CrossTabApp(
-            id=app.id,
-            name=app.name,
-            genre=app.genre if app.genre is not None else NONE_LABEL,
-            subgenre=app.subgenre if app.subgenre is not None else NONE_LABEL,
-            class_label=label,
-        )
-        apps.append(entry)
-        cells = grouped.setdefault(getattr(app, key), {c: [] for c in CLASS_LABELS})
-        cells[label].append(app.id)
+    for (app, _), label in zip(pairs, classes):
+        grouped.setdefault(getattr(app, key), {c: [] for c in CLASS_LABELS})[label].append(app.id)
     rows = tuple(
-        CrossTabRow(
-            NONE_LABEL if value is None else value,
-            {c: tuple(ids) for c, ids in grouped[value].items()},
-        )
+        CrossTabRow(value, {c: tuple(ids) for c, ids in grouped[value].items()})
         for value in sorted(grouped, key=lambda v: (v is None, v or ""))
     )
-    return CrossTab(key=key, rows=rows, apps=tuple(apps))
+    return CrossTab(key, rows, tuple(app for app, _ in pairs), classes)

@@ -4,8 +4,9 @@ Each report holds its data and builds one format on request: text lines, CSV
 tables or a JSON payload; DOT graphs exist for cross-tabs only.  Output is
 deterministic (rows in id order, "\\n" newlines); hallmark components print
 as "N" in text and as "many" in CSV and JSON, but a cluster's key, one CSV
-cell, prints in its text form.  Each distinct distance-matrix row is
-formatted once, from its bytes, and reused by every application sharing it.
+cell, prints in its text form.  Only the renderers print a missing genre or
+subgenre, as "(none)".  Each distinct distance-matrix row is formatted once,
+from its bytes, and reused by every application sharing it.
 """
 
 from __future__ import annotations
@@ -121,6 +122,11 @@ def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     yield "  " + "  ".join(["id".rjust(first), *map(str.rjust, ids, widths)])
     for i, k in zip(ids, matrix._index):
         yield "  " + i.rjust(first) + cells[k]
+
+
+def _key_label(value: str | None) -> str:
+    """A genre or subgenre as printed: a missing one is "(none)"."""
+    return "(none)" if value is None else value
 
 
 def _indent(lines: list[str]) -> list[str]:
@@ -262,7 +268,7 @@ class Analytics:
         classes = [(label, str(count)) for label, count in self.classes.items()]
         tab = self.crosstab
         tab_rows = [
-            (row.label, *(_ids(ids, " ") or "-" for ids in row.cells.values()))
+            (_key_label(row.label), *(_ids(ids, " ") or "-" for ids in row.cells.values()))
             for row in tab.rows
         ]
         return [
@@ -303,7 +309,7 @@ class Analytics:
         classes = [["class", "count"]] + [[k, n] for k, n in self.classes.items()]
         tab, matrix = self.crosstab, self.matrix
         crosstab = [[tab.key, *CLASS_LABELS]] + [
-            [row.label] + [_ids(ids, " ") for ids in row.cells.values()]
+            [_key_label(row.label)] + [_ids(ids, " ") for ids in row.cells.values()]
             for row in tab.rows
         ]
         cells = _matrix_cells(matrix)
@@ -341,7 +347,7 @@ class Analytics:
             "binary_hallmark_clusters": self.binary_clusters.payload()["clusters"],
             "cross_tab": {
                 "key": tab.key,
-                "rows": [{"label": row.label, **row.cells} for row in tab.rows],
+                "rows": [{"label": _key_label(row.label), **row.cells} for row in tab.rows],
             },
             "distance_matrix": {"metric": matrix.metric.value, "ids": matrix.ids, "rows": rows},
         }
@@ -453,26 +459,25 @@ def render_dot(report: Any) -> str:
     if not report.apps:
         return "digraph corpus {}\n"
 
-    genres = sorted({app.genre for app in report.apps})
-    subgenres = sorted({app.subgenre for app in report.apps})
-    apps = sorted(report.apps, key=lambda a: a.id)
-    present = {a.class_label for a in apps}
-    occupied = [label for label in CLASS_LABELS if label in present]
+    # Nodes are keyed by printed label, so a missing genre and one named "(none)" share one.
+    genres = [_key_label(app.genre) for app in report.apps]
+    subgenres = [_key_label(app.subgenre) for app in report.apps]
+    occupied = [label for label in CLASS_LABELS if label in report.classes]
 
     lines = ["digraph corpus {", "  rankdir=LR;"]
     for group in (
-        [_dot_quote(g) for g in genres],
-        [_dot_quote(s) for s in subgenres],
-        [_dot_quote(a.name) for a in apps],
+        [_dot_quote(g) for g in sorted(set(genres))],
+        [_dot_quote(s) for s in sorted(set(subgenres))],
+        [_dot_quote(a.name) for a in report.apps],
         [_class_node(label) for label in occupied],
     ):
         lines.append("  { rank=same; " + "; ".join(group) + "; }")
-    for genre, subgenre in sorted({(a.genre, a.subgenre) for a in apps}):
+    for genre, subgenre in sorted(set(zip(genres, subgenres))):
         lines.append(f"  {_dot_quote(genre)} -> {_dot_quote(subgenre)};")
-    for app in apps:
-        lines.append(f"  {_dot_quote(app.subgenre)} -> {_dot_quote(app.name)};")
-    for app in apps:
-        lines.append(f"  {_dot_quote(app.name)} -> {_class_node(app.class_label)};")
+    for subgenre, app in zip(subgenres, report.apps):
+        lines.append(f"  {_dot_quote(subgenre)} -> {_dot_quote(app.name)};")
+    for app, label in zip(report.apps, report.classes):
+        lines.append(f"  {_dot_quote(app.name)} -> {_class_node(label)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

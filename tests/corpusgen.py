@@ -15,7 +15,9 @@ NAME_CHARS = 'abcdefXYZ0189 _-#{}[]:,"\\()\u00e9\u00d7'
 # Names, genres and subgenres are all drawn from these, so they collide with
 # one another, with DOT's class nodes and with the "(none)" printed for a
 # missing key; they hold quotes, a backslash and non-ASCII text.
-COLLIDING_LABELS = ("(none)", "G", "Class I", "Unclassified", 'say "hi" \\ there', "G\u00e9nre \u00d7")
+COLLIDING_LABELS = (
+    "(none)", "G", "Class I", "Unclassified", 'say "hi" \\ there', "G\u00e9nre \u00d7"
+)
 
 
 def _name(rng: random.Random, prefix: str = "") -> str:

@@ -417,10 +417,11 @@ class TestCrossTab:
             )
         )
         table = cross_tab(corpus, "genre")
-        assert [row.label for row in table.rows] == ["Z genre", "(none)"]
+        assert [row.label for row in table.rows] == ["Z genre", None]
         assert table.rows[1].cells["I"] == (1,)
-        assert table.apps[0].genre == "(none)"
-        assert table.apps[0].subgenre == "(none)"
+        assert table.apps[0].genre is None
+        assert table.apps[0].subgenre is None
+        assert (table.apps, table.classes) == (corpus.applications, ("I", "IV"))
 
     def test_a_genre_named_none_is_its_own_row(self):
         entities = _app(9, "datible").entities
@@ -431,7 +432,7 @@ class TestCrossTab:
             )
         )
         table = cross_tab(corpus, "genre")
-        assert [row.label for row in table.rows] == ["(none)", "(none)"]
+        assert [row.label for row in table.rows] == ["(none)", None]
         assert [row.cells["I"] for row in table.rows] == [(1,), (2,)]
 
     @given(
