@@ -14,7 +14,8 @@ added after it.  Every command that reads a corpus runs the one handler
 returns the text to write.  The handler reads the input's bytes, prints the
 reader's diagnostics, and builds and writes the report; its one ``except``,
 around reading and building, makes an unreadable input, a corrupted bundled
-corpus or a refused report one error line.  Every byte printed, diagnostics
+corpus or a refused report one error line.  It pauses the cyclic collector
+while it runs and leaves it as it found it.  Every byte printed, diagnostics
 and usage errors too, goes through ``_emit`` as UTF-8 with "\\n" line ends
 whatever the locale; a closed or failing stderr (a closed fd and a closed
 stream object alike) loses them and changes nothing else.
@@ -29,6 +30,7 @@ stdout (fd or stream object), or a failed write, of the help too (each one
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from typing import Callable, NoReturn, Sequence
 
@@ -101,6 +103,9 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
         if not args.golden and args.input is None:
             parser.error("an input path (or --golden) is required")
         label = "<golden>" if args.golden else "<stdin>" if args.input == "-" else args.input
+        # The corpus and the report hold no cycles: collecting would free nothing.
+        collecting = gc.isenabled()
+        gc.disable()
         try:
             if args.golden:
                 corpus, diagnostics = load_golden(), []
@@ -121,7 +126,11 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
         # (SymbolicCountError), a NUL in the path, or a closed stdin object.
         except (OSError, RuntimeError, ValueError) as error:
             return _fail(error, label)
-        return _write(text, label)
+        else:
+            return _write(text, label)
+        finally:
+            if collecting:
+                gc.enable()
 
     return handler
 

@@ -46,10 +46,14 @@ exactly.  Canonical text, with blank and `#` comment lines between
 applications and with or without its final newline, is read by one regex
 match per block (`_read_canonical`, its patterns built from the field
 table).  Any other text, and any with a finding, goes to the token parser
-(`_parse_tokens`), the only source of diagnostics.  The JSON functions
-carry the same data in a one-object schema for interchange with other
-tooling.  `_read` is the one entry for a file, stdin or the bundled asset:
-it decodes UTF-8 bytes and reads text starting with "{" or "[" as JSON.
+(`_parse_tokens`), the only source of text diagnostics.  JSON, a one-object
+schema for interchange with other tooling, is read the same two ways: after
+one `json.loads`, data with only known keys, values of their exact types and
+no finding by one pass (`_read_clean_json`), any other by `_JsonReader`, the
+only source of JSON diagnostics.  In either format a repeated key keeps its
+last value and draws a warning.  `_read` is the one entry for a file, stdin
+or the bundled asset: it decodes UTF-8 bytes and reads text starting with
+"{" or "[" as JSON.
 """
 
 from __future__ import annotations
@@ -516,9 +520,24 @@ def export_json(corpus: Corpus) -> str:
 # JSON holds the names as fields, and an application's entities as an array.
 _APPLICATION_KEYS = frozenset({"name", *_APPLICATION.fields, "entities"})
 _ENTITY_KEYS = frozenset({"name", *_ENTITY.fields})
-# The JSON type of each key read by type (_field reads no other).  json.loads
-# makes no subclasses, so an exact type test is is_integer's (bool is not int).
+# The JSON type of each key read by type (_field reads no other).  json.loads makes
+# no int or str subclass, so an exact type test is is_integer's (bool is not int).
 _FIELD_TYPES = {"name": str, **_APPLICATION.fields, **_ENTITY.fields}
+_INT_OR_NONE, _STR_OR_NONE = (int, type(None)), (str, type(None))  # an optional value's types
+
+
+class _Repeats(dict):
+    """A JSON object in which a key repeats; ``repeated`` holds the key of each repeat."""
+
+
+def _object_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """json.loads' object of ``pairs``: the last value of a repeated key wins, as
+    without this hook, and an object with a repeated key is a _Repeats."""
+    node = dict(pairs)
+    if len(node) < len(pairs):
+        node, seen = _Repeats(node), set()
+        node.repeated = [key for key, _ in pairs if key in seen or seen.add(key)]
+    return node
 
 
 class _JsonReader:
@@ -532,6 +551,8 @@ class _JsonReader:
         for key in data:
             if key != "applications":
                 self.check.warning(f"unknown key {key!r} at top level")
+        for key in getattr(data, "repeated", ()):
+            self.check.warning(f"duplicate key {key!r} at top level")
         apps_node = data.get("applications")
         if not isinstance(apps_node, list):
             self.check.error("'applications' must be an array")
@@ -542,13 +563,16 @@ class _JsonReader:
         return Corpus(tuple(filter(None, applications)))
 
     def _object(self, node: Any, ctx: str, known: frozenset[str]) -> bool:
-        """Whether ``node`` is an object; each key it has outside ``known`` draws a warning."""
+        """Whether ``node`` is an object; each key it has outside ``known``, and each
+        repeat of a key, draws a warning."""
         if not isinstance(node, dict):
             self.check.error(f"{ctx}: must be an object")
             return False
         for key in node:
             if key not in known:
                 self.check.warning(f"{ctx}: unknown key {key!r}")
+        for key in getattr(node, "repeated", ()):
+            self.check.warning(f"{ctx}: duplicate key {key!r}")
         return True
 
     def _field(self, node: dict, ctx: str, key: str, required: bool = False) -> Any:
@@ -632,11 +656,75 @@ class _JsonReader:
         return Entity(name=name, role=role, tangibility=tangibility, count=count, note=note)
 
 
+def _read_clean_json(data: Any, text: str) -> tuple[Corpus, list[Diagnostic]] | None:
+    """``data``, loaded from ``text``, read if it has no finding, else None.  The
+    checks are _JsonReader's, unlocated, after exact type tests: on a finding or
+    any other key or type, _JsonReader reads ``data`` again."""
+    nodes = data.get("applications") if type(data) is dict else None
+    if type(nodes) is not list or len(data) > 1:
+        return None
+    # json.loads refuses a raw line break, and _text a raw lone surrogate.
+    escaped = "\\n" in text or "\\r" in text or "\\u" in text
+    check, where, applications = InvariantChecker(), "", []
+    counts = {"many": Count.MANY}  # each count read so far; its key is an int or "many"
+    for node in nodes:
+        if type(node) is not dict or not node.keys() <= _APPLICATION_KEYS:
+            return None
+        app_id, name, year = node.get("id"), node.get("name"), node.get("year")
+        genre, subgenre = node.get("genre"), node.get("subgenre")
+        refs, entity_nodes = node.get("refs", []), node.get("entities", [])
+        if not (
+            type(app_id) is int and type(name) is str and type(year) in _INT_OR_NONE
+            and type(genre) in _STR_OR_NONE and type(subgenre) in _STR_OR_NONE
+            and type(refs) is list and all(type(ref) is str for ref in refs)
+            and type(entity_nodes) is list
+        ):
+            return None
+        check.app_id(where, app_id)
+        check.name(where, name, unique=True)
+        check.year(where, year)
+        if escaped:
+            for value in (name, genre, subgenre, *refs):
+                check.one_line(where, "", value)
+        entities = []
+        for entity in entity_nodes:
+            if type(entity) is not dict or not entity.keys() <= _ENTITY_KEYS:
+                return None
+            entity_name, what, how = entity.get("name"), entity.get("what"), entity.get("how")
+            count, note = entity.get("count", 1), entity.get("note")
+            role = _ROLES.get(what) if type(what) is str else None
+            tangibility = _TANGIBILITIES.get(how) if type(how) is str else None
+            if (
+                role is None or tangibility is None or type(entity_name) is not str
+                or type(count) is not int and count != "many" or type(note) not in _STR_OR_NONE
+            ):
+                return None
+            check.name(where, entity_name)
+            check.count(where, count)
+            if escaped:
+                check.one_line(where, "", entity_name)
+                check.one_line(where, "", note)
+            if check.findings:
+                return None  # before Count(count) can raise on a negative count
+            if count not in counts:
+                counts[count] = Count(count)
+            entities.append(Entity(entity_name, role, tangibility, counts[count], note))
+        check.entity_records(where, len(entities))
+        check.count_total(where, entities)
+        if check.findings:
+            return None
+        refs, entities = tuple(refs), tuple(entities)
+        applications.append(Application(app_id, name, year, genre, subgenre, refs, entities))
+    return Corpus(tuple(applications)), []
+
+
 def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
     """Read the JSON interchange form.  Same all-or-nothing contract as parse_corpus."""
     reader = _JsonReader()
     try:
-        corpus = reader.read(json.loads(_text(text)))
+        text = _text(text)
+        data = json.loads(text, object_pairs_hook=_object_pairs)
+        return _read_clean_json(data, text) or _all_or_nothing(reader.read(data), reader.check)
     except _ParseError as exc:
         return Corpus(), [exc.diagnostic]
     except json.JSONDecodeError as exc:
@@ -646,7 +734,6 @@ def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
         return Corpus(), [Diagnostic.error(f"invalid JSON: {_too_long()}")]
     except RecursionError:  # too deep to read, or to print in a message
         return Corpus(), [Diagnostic.error("invalid JSON: nested too deeply")]
-    return _all_or_nothing(corpus, reader.check)
 
 
 def _read(data: bytes) -> tuple[Corpus, list[Diagnostic]]:

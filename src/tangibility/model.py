@@ -56,6 +56,9 @@ class Role(enum.Enum):
     OPERATION = "operation"
     CONSTRAINT = "constraint"
 
+    # Members are singletons compared by identity; Enum's own hash is Python code.
+    __hash__ = object.__hash__
+
 
 class Tangibility(enum.Enum):
     """How an entity is physically present to the user."""
@@ -63,6 +66,9 @@ class Tangibility(enum.Enum):
     TANGIBLE = "tangible"
     GRASPABLE = "graspable"
     INTANGIBLE = "intangible"
+
+    # Members are singletons compared by identity; Enum's own hash is Python code.
+    __hash__ = object.__hash__
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import gc
 import io
 import json
 import os
@@ -849,6 +850,37 @@ def test_refused_path_and_closed_stream_objects(monkeypatch, closed, argv, data,
         assert stdout == _main_on(monkeypatch, argv, data)[1]
     elif closed != "stdout":
         assert stdout == b""
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["classify", "--golden"], 0),
+        (["validate", "-"], 1),
+        (["analyze", "--golden", "--metric", "l1"], 1),
+    ],
+    ids=["success", "corpus error", "refused report"],
+)
+def test_a_corpus_command_pauses_the_collector(monkeypatch, collecting, argv, code):
+    """The collector is off while a corpus command reads, builds and prints, and
+    main() leaves it as it found it."""
+    during = []
+    print_diagnostics = cli._print_diagnostics
+
+    def spy(*args):
+        during.append(gc.isenabled())
+        print_diagnostics(*args)
+
+    monkeypatch.setattr(cli, "_print_diagnostics", spy)
+    before = gc.isenabled()
+    (gc.enable if collecting else gc.disable)()
+    try:
+        assert _main_on(monkeypatch, argv, ID_ZERO)[0] == code
+        assert gc.isenabled() is collecting
+    finally:
+        (gc.enable if before else gc.disable)()
+    assert during and not any(during)
 
 
 def test_closed_stdin():

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+
 import pytest
 
 from tangibility import Role, Tangibility, UnknownTermError, all_terms, parse_term, term_of
@@ -49,6 +52,16 @@ def test_term_of():
     assert term_of(Role.TOOL, Tangibility.INTANGIBLE).name == "tolnible"
     assert term_of(Role.CONSTRAINT, Tangibility.GRASPABLE).name == "constable"
     assert term_of(Role.DATUM, Tangibility.TANGIBLE).index == 0
+
+
+@pytest.mark.parametrize("term", all_terms(), ids=lambda term: term.name)
+def test_copied_members_are_the_members_and_find_their_term(term):
+    """Role and Tangibility hash by identity, so a copy must be the member itself."""
+    pair = term.role, term.tangibility
+    for role, tangibility in (pickle.loads(pickle.dumps(pair)), copy.deepcopy(pair)):
+        assert role is term.role and tangibility is term.tangibility
+        assert term_of(role, tangibility) is term
+    assert pickle.loads(pickle.dumps(term)) in {term}
 
 
 def test_gloss():
