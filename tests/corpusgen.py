@@ -3,6 +3,7 @@ and property tests."""
 
 from __future__ import annotations
 
+import json
 import random
 
 from hypothesis import strategies as st
@@ -61,6 +62,97 @@ def random_corpus(
             )
         )
     return Corpus(tuple(apps))
+
+
+def clean_corpus(seed: int) -> Corpus:
+    """A random corpus whose applications all have entities."""
+    corpus = random_corpus(random.Random(seed), max_apps=6)
+    return Corpus(tuple(a for a in corpus.applications if a.entities))
+
+
+# The JSON text written for each "@" in a string; no generated string holds one.
+JSON_ESCAPES = {
+    "escaped \\n": "\\n",
+    "escaped \\u000d": "\\u000d",
+    "escaped \\ud800": "\\ud800",
+    "escaped \\u00e9": "\\u00e9",  # no finding
+}
+
+
+def mutated_json(kind: str, rng: random.Random, data: dict) -> str:
+    """export_json's ``data`` changed by one edit of ``kind``, as JSON text."""
+    app = rng.choice(data["applications"])
+    entity = rng.choice(app["entities"])
+    obj = rng.choice([app, entity])
+    repeated = None  # the key that the key "@" repeats
+    if kind == "id 0":
+        app["id"] = 0
+    elif kind == "duplicate id":
+        app["id"] = rng.choice(data["applications"])["id"]
+    elif kind == "id true or 1.5":
+        app["id"] = rng.choice([True, 1.5])
+    elif kind.startswith("count "):
+        entity["count"] = json.loads(kind.removeprefix("count "))
+    elif kind == "empty name":
+        obj["name"] = rng.choice(["", " "])
+    elif kind == "duplicate name":
+        app["name"] = rng.choice(data["applications"])["name"].swapcase()
+    elif kind == "no entities":
+        del app["entities"][:]
+    elif kind == "unknown key":
+        obj[rng.choice(["color", "tags"])] = rng.choice(["red", [1, 2]])
+    elif kind == "repeated key":
+        obj = rng.choice([data, app, entity])
+        repeated = rng.choice(list(obj))
+        items = [*obj.items()]
+        repeat = ("@", rng.choice([obj[repeated], "x", 2]))
+        obj.clear()
+        obj.update([repeat, *items] if rng.random() < 0.5 else [*items, repeat])
+    elif kind.startswith(("year ", "refs ", "genre ")):
+        key, value = kind.split(" ", 1)
+        app[key] = json.loads(value)
+    elif kind in JSON_ESCAPES:
+        field = rng.choice(["name", "genre", "subgenre", "refs", "entity name", "note"])
+        if field == "refs":
+            app["refs"] = [*app["refs"], "r@"]
+        else:
+            target = entity if field in ("entity name", "note") else app
+            key = field.removeprefix("entity ")
+            target[key] = (target.get(key) or "") + "@"
+    elif kind == "top-level array":
+        data = rng.choice([data["applications"], [data]])
+    elif kind == "extra top-level key":
+        data = dict(rng.sample([*data.items(), ("extra", 1)], 2))
+    text = json.dumps(data, ensure_ascii=rng.random() < 0.5)
+    if repeated is not None:
+        text = text.replace('"@"', json.dumps(repeated))
+    return text.replace("@", JSON_ESCAPES.get(kind, "@"))
+
+
+# Each kind of one-edit change that mutated_json makes.
+JSON_MUTATIONS = (
+    "id 0",
+    "duplicate id",
+    "id true or 1.5",
+    "count 0",
+    "count -1",
+    "count null",
+    "count true",
+    'count "3"',
+    "empty name",
+    "duplicate name",
+    "no entities",
+    "unknown key",
+    "repeated key",
+    "year -1",
+    "year 1.5",
+    "refs null",
+    "refs [1]",
+    "genre 3",
+    *JSON_ESCAPES,
+    "top-level array",
+    "extra top-level key",
+)
 
 
 def random_hallmark(rng: random.Random, allow_many: bool = True) -> Hallmark:

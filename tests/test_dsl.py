@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_corpus
+from corpusgen import JSON_MUTATIONS, clean_corpus, random_corpus
 from tangibility import (
     Corpus,
     Count,
@@ -30,6 +30,7 @@ from tangibility import dsl
 from tangibility.dsl import _TOKEN, _lex, _parse_tokens
 from tangibility.golden import GOLDEN_RESOURCE
 from tangibility.model import Diagnostic, SourceSpan
+from test_snapshots import DIGESTS, JSON_MUTATION_DIGESTS, json_mutation_digest
 
 MINIMAL = """
 # a one-specimen corpus
@@ -1037,14 +1038,8 @@ def test_both_readers_drop_one_leading_byte_order_mark():
 # parser (_parse_tokens), which is the reference for every text below.
 
 
-def _clean_corpus(seed):
-    """A random corpus whose applications all have entities."""
-    corpus = random_corpus(random.Random(seed), max_apps=6)
-    return Corpus(tuple(a for a in corpus.applications if a.entities))
-
-
 def _canonical_text(seed):
-    return serialize_corpus(_clean_corpus(seed))
+    return serialize_corpus(clean_corpus(seed))
 
 
 @given(
@@ -1152,109 +1147,11 @@ def test_canonical_text_skips_the_token_parser(monkeypatch):
     assert calls == [text]
 
 
-# Clean JSON is read by a pass of exact type tests, and any other by the
-# diagnosing reader (_JsonReader), which is the reference for every input below.
-
-
-def _diagnosing_read(text):
-    reader = dsl._JsonReader()
-    corpus = reader.read(json.loads(dsl._text(text), object_pairs_hook=dsl._object_pairs))
-    return dsl._all_or_nothing(corpus, reader.check)
-
-
-# The JSON text written for each "@" in a string; no generated string holds one.
-_ESCAPES = {
-    "escaped \\n": "\\n",
-    "escaped \\u000d": "\\u000d",
-    "escaped \\ud800": "\\ud800",
-    "escaped \\u00e9": "\\u00e9",  # no finding
-}
-
-
-def _mutated_json(kind, rng, data):
-    """export_json's ``data`` changed by one edit of ``kind``, as JSON text."""
-    app = rng.choice(data["applications"])
-    entity = rng.choice(app["entities"])
-    obj = rng.choice([app, entity])
-    repeated = None  # the key that the key "@" repeats
-    if kind == "id 0":
-        app["id"] = 0
-    elif kind == "duplicate id":
-        app["id"] = rng.choice(data["applications"])["id"]
-    elif kind == "id true or 1.5":
-        app["id"] = rng.choice([True, 1.5])
-    elif kind.startswith("count "):
-        entity["count"] = json.loads(kind.removeprefix("count "))
-    elif kind == "empty name":
-        obj["name"] = rng.choice(["", " "])
-    elif kind == "duplicate name":
-        app["name"] = rng.choice(data["applications"])["name"].swapcase()
-    elif kind == "no entities":
-        del app["entities"][:]
-    elif kind == "unknown key":
-        obj[rng.choice(["color", "tags"])] = rng.choice(["red", [1, 2]])
-    elif kind == "repeated key":
-        obj = rng.choice([data, app, entity])
-        repeated = rng.choice(list(obj))
-        items = [*obj.items()]
-        repeat = ("@", rng.choice([obj[repeated], "x", 2]))
-        obj.clear()
-        obj.update([repeat, *items] if rng.random() < 0.5 else [*items, repeat])
-    elif kind.startswith(("year ", "refs ", "genre ")):
-        key, value = kind.split(" ", 1)
-        app[key] = json.loads(value)
-    elif kind in _ESCAPES:
-        field = rng.choice(["name", "genre", "subgenre", "refs", "entity name", "note"])
-        if field == "refs":
-            app["refs"] = [*app["refs"], "r@"]
-        else:
-            target = entity if field in ("entity name", "note") else app
-            key = field.removeprefix("entity ")
-            target[key] = (target.get(key) or "") + "@"
-    elif kind == "top-level array":
-        data = rng.choice([data["applications"], [data]])
-    elif kind == "extra top-level key":
-        data = dict(rng.sample([*data.items(), ("extra", 1)], 2))
-    text = json.dumps(data, ensure_ascii=rng.random() < 0.5)
-    if repeated is not None:
-        text = text.replace('"@"', json.dumps(repeated))
-    return text.replace("@", _ESCAPES.get(kind, "@"))
-
-
-@pytest.mark.parametrize(
-    "kind",
-    [
-        "id 0",
-        "duplicate id",
-        "id true or 1.5",
-        "count 0",
-        "count -1",
-        "count null",
-        "count true",
-        'count "3"',
-        "empty name",
-        "duplicate name",
-        "no entities",
-        "unknown key",
-        "repeated key",
-        "year -1",
-        "year 1.5",
-        "refs null",
-        "refs [1]",
-        "genre 3",
-        *_ESCAPES,
-        "top-level array",
-        "extra top-level key",
-    ],
-)
+@pytest.mark.parametrize("kind", JSON_MUTATIONS)
 def test_mutated_json_reads_as_the_diagnosing_reader_reads_it(kind):
-    for seed in range(60):
-        rng = random.Random(seed)
-        data = json.loads(export_json(_clean_corpus(seed)))
-        if not data["applications"]:
-            continue
-        text = _mutated_json(kind, rng, data)
-        assert import_json(text) == _diagnosing_read(text), (kind, seed)
+    """JSON with one edit of ``kind`` reads as it did when its digest was pinned."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[JSON_MUTATION_DIGESTS]
+    assert json_mutation_digest(kind) == pinned[kind]
 
 
 def test_clean_json_skips_the_diagnosing_reader(monkeypatch):
@@ -1268,7 +1165,7 @@ def test_clean_json_skips_the_diagnosing_reader(monkeypatch):
     monkeypatch.setattr(dsl._JsonReader, "read", spy)
     assert import_json(export_json(load_golden())) == (load_golden(), [])
     for seed in range(50):
-        corpus = _clean_corpus(seed)
+        corpus = clean_corpus(seed)
         exported = export_json(corpus)
         assert import_json(exported) == (corpus, [])
         # Written by another tool: spaced, and non-ASCII text as \u escapes.

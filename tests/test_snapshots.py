@@ -20,6 +20,9 @@ ingest commands run too: validate, and export as text and as JSON.
   or ``(none)``, a genre equal to its subgenre, genres and subgenres named
   ``(none)`` next to missing ones, quotes, backslashes and non-ASCII text,
   and one term summing to 300 (L1 pair by pair).
+- ``import_json`` alone, not the CLI, is pinned on JSON with one edit of each
+  ``corpusgen.JSON_MUTATIONS`` kind, over 60 seeded corpora: one digest per
+  kind of each loaded corpus and every diagnostic, in the same file.
 
 Generated corpora are fed as JSON on stdin, so diagnostics name
 ``<stdin>`` and do not depend on a temporary path.  The snapshots record
@@ -44,14 +47,16 @@ from typing import Iterable
 
 import pytest
 
-from tangibility import Application, Corpus, Count, Entity, Role, Tangibility, export_json
+from tangibility import (
+    Application, Corpus, Count, Entity, Role, Tangibility, export_json, import_json,
+)
 from tangibility.cli import main
 
 try:
-    from corpusgen import random_corpus
+    from corpusgen import JSON_MUTATIONS, clean_corpus, mutated_json, random_corpus
 except ImportError:  # run as a script from the repository root
     sys.path.insert(0, str(Path(__file__).parent))
-    from corpusgen import random_corpus
+    from corpusgen import JSON_MUTATIONS, clean_corpus, mutated_json, random_corpus
 
 SNAPSHOTS = Path(__file__).parent / "snapshots"
 GOLDEN_DIR = SNAPSHOTS / "golden"
@@ -68,6 +73,7 @@ LARGE = {
     "large-wide": (3, 300, False, True),
 }
 COLLISIONS = "collisions"
+JSON_MUTATION_DIGESTS = "json-mutations"
 
 
 def _cases() -> dict[str, list[str]]:
@@ -131,6 +137,25 @@ def _collision_corpus() -> str:
         app(3, "Unclassified", None, "(none)", ("tool", "intangible", 1)),
     ))
     return export_json(corpus)
+
+
+def json_mutation_digest(kind: str) -> str:
+    """The digest of import_json's result on each seed's clean corpus, exported
+    and changed by one edit of ``kind``: the corpus as export_json writes it, and
+    each diagnostic's severity, message and span, in order."""
+    results = []
+    for seed in range(60):
+        rng = random.Random(seed)
+        data = json.loads(export_json(clean_corpus(seed)))
+        if not data["applications"]:
+            continue
+        corpus, diagnostics = import_json(mutated_json(kind, rng, data))
+        findings = [
+            [d.severity.value, d.message, d.span and [d.span.line, d.span.column]]
+            for d in diagnostics
+        ]
+        results.append([export_json(corpus), findings])
+    return hashlib.sha256(json.dumps(results).encode("ascii")).hexdigest()
 
 
 def _byte_stream(data: bytes = b"") -> io.TextIOWrapper:
@@ -200,6 +225,7 @@ def _write_snapshots() -> None:
     digests = {name: _corpus_digests(_generated_corpus(name)) for name in GENERATED}
     digests.update({name: _corpus_digests(_large_corpus(name), ANALYZE) for name in LARGE})
     digests[COLLISIONS] = _corpus_digests(_collision_corpus())
+    digests[JSON_MUTATION_DIGESTS] = {kind: json_mutation_digest(kind) for kind in JSON_MUTATIONS}
     for path, payload in ((GOLDEN_STATUS, status), (DIGESTS, digests)):
         path.write_text(
             json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
