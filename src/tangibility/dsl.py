@@ -29,10 +29,11 @@ the diagnostics.  A lone surrogate in either reader's input is one error,
 
 The field table (`_APPLICATION`, `_ENTITY`) is the one place the readers
 take the schema from.  The text parser reads both block kinds with one loop
-over it; the JSON reader takes its known keys and its integer and string
-checks from it.  The writers, `serialize_corpus` and `export_json`, keep
-their own field order and defaults: a walk over the table, tried, saved
-one line and made both roughly 1.7 times slower at 500 applications.
+over it; the JSON reader takes its known keys, and the type each of its
+type errors names, from it.  The writers, `serialize_corpus` and
+`export_json`, keep their own field order and defaults: a walk over the
+table, tried, saved one line and made both roughly 1.7 times slower at 500
+applications.
 
 Both readers report in input order: each invariant of `model` is checked
 where its value is read, except that the entity-less warning, the count
@@ -47,10 +48,8 @@ applications and with or without its final newline, is read by one regex
 match per block (`_read_canonical`, its patterns built from the field
 table).  Any other text, and any with a finding, goes to the token parser
 (`_parse_tokens`), the only source of text diagnostics.  JSON, a one-object
-schema for interchange with other tooling, is read the same two ways: after
-one `json.loads`, data with only known keys, values of their exact types and
-no finding by one pass (`_read_clean_json`), any other by `_JsonReader`, the
-only source of JSON diagnostics.  In either format a repeated key keeps its
+schema for interchange with other tooling, is read by `_JsonReader` alone,
+after one `json.loads`.  In either format a repeated key keeps its
 last value and draws a warning.  `_read` is the one entry for a file, stdin
 or the bundled asset: it decodes UTF-8 bytes and reads text starting with
 "{" or "[" as JSON.
@@ -75,7 +74,6 @@ from .model import (
     SourceSpan,
     Tangibility,
     first_surrogate,
-    is_integer,
 )
 
 __all__ = ["parse_corpus", "serialize_corpus", "export_json", "import_json"]
@@ -520,7 +518,7 @@ def export_json(corpus: Corpus) -> str:
 # JSON holds the names as fields, and an application's entities as an array.
 _APPLICATION_KEYS = frozenset({"name", *_APPLICATION.fields, "entities"})
 _ENTITY_KEYS = frozenset({"name", *_ENTITY.fields})
-# The JSON type of each key read by type (_field reads no other).  json.loads makes
+# The JSON type of each key read by type, which _mistyped names.  json.loads makes
 # no int or str subclass, so an exact type test is is_integer's (bool is not int).
 _FIELD_TYPES = {"name": str, **_APPLICATION.fields, **_ENTITY.fields}
 _INT_OR_NONE, _STR_OR_NONE = (int, type(None)), (str, type(None))  # an optional value's types
@@ -541,8 +539,14 @@ def _object_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
 
 
 class _JsonReader:
-    def __init__(self) -> None:
+    """Reads the data json.loads made of ``text``, each finding where it occurs."""
+
+    def __init__(self, text: str) -> None:
         self.check = InvariantChecker()
+        # json.loads refuses a raw line break, and _text a raw lone surrogate, so
+        # only an escape puts one in a string, and one_line has nothing to find.
+        self._escaped = "\\n" in text or "\\r" in text or "\\u" in text
+        self._counts = {"many": Count.MANY}  # each count read so far, by its JSON value
 
     def read(self, data: Any) -> Corpus:
         if not isinstance(data, dict):
@@ -565,6 +569,8 @@ class _JsonReader:
     def _object(self, node: Any, ctx: str, known: frozenset[str]) -> bool:
         """Whether ``node`` is an object; each key it has outside ``known``, and each
         repeat of a key, draws a warning."""
+        if type(node) is dict and node.keys() <= known:  # no _Repeats, no unknown key
+            return True
         if not isinstance(node, dict):
             self.check.error(f"{ctx}: must be an object")
             return False
@@ -575,156 +581,92 @@ class _JsonReader:
             self.check.warning(f"{ctx}: duplicate key {key!r}")
         return True
 
-    def _field(self, node: dict, ctx: str, key: str, required: bool = False) -> Any:
-        """``node[key]`` or None; an error unless of the key's type or, if optional, None."""
-        value = node.get(key)
-        json_type = _FIELD_TYPES[key]
-        if type(value) is not json_type and (required or value is not None):
-            noun = "an integer" if json_type is int else "a string"
-            self.check.error(f"{ctx}: {key} must be {noun}")
-        return value
+    def _mistyped(self, ctx: str, key: str) -> None:
+        noun = "an integer" if _FIELD_TYPES[key] is int else "a string"
+        self.check.error(f"{ctx}: {key} must be {noun}")
 
     def _read_application(self, node: Any, ctx: str) -> Application | None:
         if not self._object(node, ctx, _APPLICATION_KEYS):
             return None
-        errors = self.check.errors
-
-        app_id = self._field(node, ctx, "id", required=True)
-        self.check.app_id(ctx, app_id)
-
-        name = self._field(node, ctx, "name", required=True)
-        self.check.name(ctx, name, unique=True)
-        self.check.one_line(ctx, "name", name)
-
-        year = self._field(node, ctx, "year")
-        self.check.year(ctx, year)
-
-        genre = self._field(node, ctx, "genre")
-        subgenre = self._field(node, ctx, "subgenre")
-        self.check.one_line(ctx, "genre", genre)
-        self.check.one_line(ctx, "subgenre", subgenre)
-
-        refs = node.get("refs", [])
-        if not isinstance(refs, list) or not all(isinstance(r, str) for r in refs):
-            self.check.error(f"{ctx}: refs must be an array of strings")
-        else:
+        check, escaped = self.check, self._escaped
+        errors = check.errors
+        app_id, name, year = node.get("id"), node.get("name"), node.get("year")
+        genre, subgenre = node.get("genre"), node.get("subgenre")
+        refs, entity_nodes = node.get("refs", []), node.get("entities", [])
+        if type(app_id) is not int:
+            self._mistyped(ctx, "id")
+        check.app_id(ctx, app_id)
+        if type(name) is not str:
+            self._mistyped(ctx, "name")
+        check.name(ctx, name, unique=True)
+        if escaped:
+            check.one_line(ctx, "name", name)
+        if type(year) not in _INT_OR_NONE:
+            self._mistyped(ctx, "year")
+        check.year(ctx, year)
+        if type(genre) not in _STR_OR_NONE:
+            self._mistyped(ctx, "genre")
+        if type(subgenre) not in _STR_OR_NONE:
+            self._mistyped(ctx, "subgenre")
+        if escaped:
+            check.one_line(ctx, "genre", genre)
+            check.one_line(ctx, "subgenre", subgenre)
+        if type(refs) is not list or not all(type(ref) is str for ref in refs):
+            check.error(f"{ctx}: refs must be an array of strings")
+        elif escaped:
             for index, ref in enumerate(refs):
-                self.check.one_line(ctx, f"refs[{index}]", ref)
-
-        entities_node = node.get("entities", [])
+                check.one_line(ctx, f"refs[{index}]", ref)
         entities = []
-        if not isinstance(entities_node, list):
-            self.check.error(f"{ctx}: entities must be an array")
+        if type(entity_nodes) is not list:
+            check.error(f"{ctx}: entities must be an array")
         else:
-            for index, entity_node in enumerate(entities_node):
+            for index, entity_node in enumerate(entity_nodes):
                 entities.append(self._read_entity(entity_node, f"{ctx}.entities[{index}]"))
-
-        if self.check.errors > errors:  # each entity read as None counted one
+        if check.errors > errors:  # each entity read as None counted one
             return None
-        self.check.entity_records(ctx, len(entities))
-        self.check.count_total(ctx, entities)
+        check.entity_records(ctx, len(entities))
+        check.count_total(ctx, entities)
         return Application(app_id, name, year, genre, subgenre, tuple(refs), tuple(entities))
 
     def _read_entity(self, node: Any, ctx: str) -> Entity | None:
         if not self._object(node, ctx, _ENTITY_KEYS):
             return None
-        errors = self.check.errors
-
-        name = self._field(node, ctx, "name", required=True)
-        self.check.name(ctx, name)
-        self.check.one_line(ctx, "name", name)
-
-        what, how = node.get("what"), node.get("how")
-        role = _ROLES.get(what) if isinstance(what, str) else None
+        check = self.check
+        errors = check.errors
+        name, what, how = node.get("name"), node.get("what"), node.get("how")
+        count, note = node.get("count", 1), node.get("note")
+        if type(name) is not str:
+            self._mistyped(ctx, "name")
+        check.name(ctx, name)
+        if self._escaped:
+            check.one_line(ctx, "name", name)
+        role = _ROLES.get(what) if type(what) is str else None
         if role is None:
-            self.check.error(f"{ctx}: unknown role {what!r}")
-        tangibility = _TANGIBILITIES.get(how) if isinstance(how, str) else None
+            check.error(f"{ctx}: unknown role {what!r}")
+        tangibility = _TANGIBILITIES.get(how) if type(how) is str else None
         if tangibility is None:
-            self.check.error(f"{ctx}: unknown tangibility {how!r}")
-
-        count_node = node.get("count", 1)
-        if count_node != "many" and not is_integer(count_node):
-            self.check.error(f"{ctx}: count must be a positive integer or 'many'")
-        self.check.count(ctx, count_node)
-
-        note = self._field(node, ctx, "note")
-        self.check.one_line(ctx, "note", note)
-
-        if self.check.errors > errors:
+            check.error(f"{ctx}: unknown tangibility {how!r}")
+        if type(count) is not int and count != "many":
+            check.error(f"{ctx}: count must be a positive integer or 'many'")
+        check.count(ctx, count)
+        if type(note) not in _STR_OR_NONE:
+            self._mistyped(ctx, "note")
+        if self._escaped:
+            check.one_line(ctx, "note", note)
+        if check.errors > errors:  # so Count is never built of a count that is not positive
             return None
-        count = Count.MANY if count_node == "many" else Count(count_node)
-        return Entity(name=name, role=role, tangibility=tangibility, count=count, note=note)
-
-
-def _read_clean_json(data: Any, text: str) -> tuple[Corpus, list[Diagnostic]] | None:
-    """``data``, loaded from ``text``, read if it has no finding, else None.  The
-    checks are _JsonReader's, unlocated, after exact type tests: on a finding or
-    any other key or type, _JsonReader reads ``data`` again."""
-    nodes = data.get("applications") if type(data) is dict else None
-    if type(nodes) is not list or len(data) > 1:
-        return None
-    # json.loads refuses a raw line break, and _text a raw lone surrogate.
-    escaped = "\\n" in text or "\\r" in text or "\\u" in text
-    check, where, applications = InvariantChecker(), "", []
-    counts = {"many": Count.MANY}  # each count read so far; its key is an int or "many"
-    for node in nodes:
-        if type(node) is not dict or not node.keys() <= _APPLICATION_KEYS:
-            return None
-        app_id, name, year = node.get("id"), node.get("name"), node.get("year")
-        genre, subgenre = node.get("genre"), node.get("subgenre")
-        refs, entity_nodes = node.get("refs", []), node.get("entities", [])
-        if not (
-            type(app_id) is int and type(name) is str and type(year) in _INT_OR_NONE
-            and type(genre) in _STR_OR_NONE and type(subgenre) in _STR_OR_NONE
-            and type(refs) is list and all(type(ref) is str for ref in refs)
-            and type(entity_nodes) is list
-        ):
-            return None
-        check.app_id(where, app_id)
-        check.name(where, name, unique=True)
-        check.year(where, year)
-        if escaped:
-            for value in (name, genre, subgenre, *refs):
-                check.one_line(where, "", value)
-        entities = []
-        for entity in entity_nodes:
-            if type(entity) is not dict or not entity.keys() <= _ENTITY_KEYS:
-                return None
-            entity_name, what, how = entity.get("name"), entity.get("what"), entity.get("how")
-            count, note = entity.get("count", 1), entity.get("note")
-            role = _ROLES.get(what) if type(what) is str else None
-            tangibility = _TANGIBILITIES.get(how) if type(how) is str else None
-            if (
-                role is None or tangibility is None or type(entity_name) is not str
-                or type(count) is not int and count != "many" or type(note) not in _STR_OR_NONE
-            ):
-                return None
-            check.name(where, entity_name)
-            check.count(where, count)
-            if escaped:
-                check.one_line(where, "", entity_name)
-                check.one_line(where, "", note)
-            if check.findings:
-                return None  # before Count(count) can raise on a negative count
-            if count not in counts:
-                counts[count] = Count(count)
-            entities.append(Entity(entity_name, role, tangibility, counts[count], note))
-        check.entity_records(where, len(entities))
-        check.count_total(where, entities)
-        if check.findings:
-            return None
-        refs, entities = tuple(refs), tuple(entities)
-        applications.append(Application(app_id, name, year, genre, subgenre, refs, entities))
-    return Corpus(tuple(applications)), []
+        if count not in self._counts:
+            self._counts[count] = Count(count)
+        return Entity(name, role, tangibility, self._counts[count], note)
 
 
 def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:
     """Read the JSON interchange form.  Same all-or-nothing contract as parse_corpus."""
-    reader = _JsonReader()
     try:
         text = _text(text)
-        data = json.loads(text, object_pairs_hook=_object_pairs)
-        return _read_clean_json(data, text) or _all_or_nothing(reader.read(data), reader.check)
+        reader = _JsonReader(text)
+        corpus = reader.read(json.loads(text, object_pairs_hook=_object_pairs))
+        return _all_or_nothing(corpus, reader.check)
     except _ParseError as exc:
         return Corpus(), [exc.diagnostic]
     except json.JSONDecodeError as exc:

@@ -29,7 +29,7 @@ from tangibility import (
 from tangibility import dsl
 from tangibility.dsl import _TOKEN, _lex, _parse_tokens
 from tangibility.golden import GOLDEN_RESOURCE
-from tangibility.model import Diagnostic, SourceSpan
+from tangibility.model import Diagnostic, InvariantChecker, SourceSpan
 from test_snapshots import DIGESTS, JSON_MUTATION_DIGESTS, json_mutation_digest
 
 MINIMAL = """
@@ -1154,23 +1154,35 @@ def test_mutated_json_reads_as_the_diagnosing_reader_reads_it(kind):
     assert json_mutation_digest(kind) == pinned[kind]
 
 
-def test_clean_json_skips_the_diagnosing_reader(monkeypatch):
+def test_json_is_read_in_one_pass(monkeypatch):
+    """Each application's id is checked once per read, with or without a warning."""
     calls = []
-    read = dsl._JsonReader.read
+    app_id = InvariantChecker.app_id
 
-    def spy(self, data):
-        calls.append(data)
-        return read(self, data)
+    def spy(self, where, value, span=None):
+        calls.append(value)
+        return app_id(self, where, value, span)
 
-    monkeypatch.setattr(dsl._JsonReader, "read", spy)
-    assert import_json(export_json(load_golden())) == (load_golden(), [])
+    def read(text):
+        calls.clear()
+        result = import_json(text)
+        assert len(calls) == len(result[0].applications)
+        return result
+
+    monkeypatch.setattr(InvariantChecker, "app_id", spy)
+    golden = load_golden()
+    golden_json = export_json(golden)
+    assert read(golden_json) == (golden, [])
     for seed in range(50):
         corpus = clean_corpus(seed)
         exported = export_json(corpus)
-        assert import_json(exported) == (corpus, [])
+        assert read(exported) == (corpus, [])
         # Written by another tool: spaced, and non-ASCII text as \u escapes.
-        assert import_json(json.dumps(json.loads(exported), indent=1)) == (corpus, [])
-    assert calls == []
-    text = export_json(load_golden()).replace('"id"', '"id":1,"id"', 1)
-    assert import_json(text) == (load_golden(), [W("applications[0]: duplicate key 'id'")])
-    assert calls == [json.loads(text)]
+        assert read(json.dumps(json.loads(exported), indent=1)) == (corpus, [])
+    # A warning in the last application: the applications before it are not read again.
+    last = golden_json.rindex('{"id":') + 1
+    where = f"applications[{len(golden.applications) - 1}]"
+    warnings = {'"color":"red",': "unknown key 'color'", '"id":1,': "duplicate key 'id'"}
+    for field, warning in warnings.items():
+        text = golden_json[:last] + field + golden_json[last:]
+        assert read(text) == (golden, [W(f"{where}: {warning}")])
