@@ -23,15 +23,17 @@ from __future__ import annotations
 import enum
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cache, cached_property
-from operator import sub
+from itertools import chain
+from operator import attrgetter, sub
 from typing import Callable, Collection, Sequence, Union
 
 from .classify import classify
 from .hallmark import BinaryHallmark, Hallmark, SymbolicCountError, binarize
 from .model import Application, Corpus, Role
-from .terms import TERMS, Term, term_of
+from .terms import TERMS, Term
 
 __all__ = [
     "EmptyCorpusError",
@@ -113,12 +115,16 @@ class CrossTab:
     classes: tuple[str, ...]
 
 
+def _tally(corpus: Corpus, attributes: attrgetter) -> Counter:
+    """Entity records by ``attributes``, counted in C with no per-record Python code."""
+    entities = chain.from_iterable(map(attrgetter("entities"), corpus.applications))
+    return Counter(map(attributes, entities))
+
+
 def term_coverage(corpus: Corpus) -> dict[Term, int]:
     """Entity records per term.  All twelve terms are present, zero-filled."""
-    coverage = {term: 0 for term in TERMS}
-    for _, entity in corpus.iter_entities():
-        coverage[term_of(entity.role, entity.tangibility)] += 1
-    return coverage
+    counts = _tally(corpus, attrgetter("role", "tangibility"))
+    return {term: counts[term.role, term.tangibility] for term in TERMS}
 
 
 def _percent_half_up(count: int, total: int) -> int:
@@ -130,13 +136,8 @@ def role_distribution(corpus: Corpus) -> dict[Role, RoleShare]:
     total = corpus.record_count
     if total == 0:
         raise EmptyCorpusError("corpus has no entity records")
-    counts = {role: 0 for role in Role}
-    for _, entity in corpus.iter_entities():
-        counts[entity.role] += 1
-    return {
-        role: RoleShare(count, _percent_half_up(count, total))
-        for role, count in counts.items()
-    }
+    counts = _tally(corpus, attrgetter("role"))
+    return {role: RoleShare(counts[role], _percent_half_up(counts[role], total)) for role in Role}
 
 
 def _by_id(corpus: Corpus) -> list[tuple[Application, Hallmark]]:
@@ -201,7 +202,7 @@ def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
                     f"symbolic count 'many' in application {app.id}; "
                     "L1 distance is undefined"
                 )
-        keys = [tuple(c.value for c in mark.components) for _, mark in pairs]
+        keys = [mark._values for _, mark in pairs]
     else:
         keys = [(mark.mask & 0xFF, mark.mask >> 8) for _, mark in pairs]
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}

@@ -7,16 +7,21 @@ distance is defined on binary hallmarks and never exceeds 12.
 
 Both vector forms carry their positivity as a 12-bit int, ``mask``: bit i
 is set when component i (``TERMS[i]``) is positive.  Classification and
-Hamming distance work on the mask alone.
+Hamming distance work on the mask alone.  A hallmark reads its component
+values once, when it is built, and computes its mask and its hash from
+them then; equal hallmarks hash equal, but the hash value is not part of
+the API.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import compress
+from operator import attrgetter, ne, sub
 from typing import Union
 
 from .model import Application, Count, is_integer
-from .terms import Term, term_of
+from .terms import TERMS, Term
 
 __all__ = [
     "Hallmark",
@@ -29,6 +34,10 @@ __all__ = [
 ]
 
 COMPONENT_COUNT = 12
+
+_BITS = tuple(1 << i for i in range(COMPONENT_COUNT))
+_ZEROS = (0,) * COMPONENT_COUNT
+_VALUE = attrgetter("value")
 
 
 class SymbolicCountError(ValueError):
@@ -57,8 +66,22 @@ class Hallmark:
             raise ValueError(
                 f"hallmark needs {COMPONENT_COUNT} components, got {len(self.components)}"
             )
-        mask = sum(1 << i for i, c in enumerate(self.components) if c.is_positive)
-        object.__setattr__(self, "mask", mask)
+        # ``_values`` (each component's value, None for "many") and ``_hash``
+        # are plain instance attributes, not fields: ``repr``, ``fields`` and
+        # ``replace`` see only ``components`` and ``mask``.
+        values = tuple(map(_VALUE, self.components))
+        object.__setattr__(self, "_values", values)
+        object.__setattr__(self, "_hash", hash(values))
+        # A component is positive when its value is not 0; "many" (None) is.
+        object.__setattr__(self, "mask", sum(compress(_BITS, map(ne, values, _ZEROS))))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self) -> tuple:
+        # Pickled as its components alone, so a loading process hashes it
+        # afresh: before Python 3.12, hash(None) differs between processes.
+        return type(self), (self.components,)
 
     @classmethod
     def of(cls, *values: Union[int, str, Count]) -> "Hallmark":
@@ -74,7 +97,7 @@ class Hallmark:
 
     @property
     def has_many(self) -> bool:
-        return any(c.is_many for c in self.components)
+        return None in self._values
 
     def to_json(self) -> list[int | str]:
         """Components as JSON and CSV carry them: integers, or "many"."""
@@ -112,6 +135,8 @@ class BinaryHallmark:
 # Counts are immutable, so hallmarks share these instead of making their own.
 _SMALL = tuple(Count(n) for n in range(64))
 
+_INDEX = {(term.role, term.tangibility): term.index for term in TERMS}
+
 
 def compute_hallmark(app: Application) -> Hallmark:
     """Sum entity counts per term.  An application with no entities is all zero.
@@ -121,12 +146,14 @@ def compute_hallmark(app: Application) -> Hallmark:
     totals = [0] * COMPONENT_COUNT
     many = 0
     for entity in app.entities:
-        index = term_of(entity.role, entity.tangibility).index
+        index = _INDEX[entity.role, entity.tangibility]
         value = entity.count.value
         if value is None:
             many |= 1 << index
         else:
             totals[index] += value
+    if not many and max(totals) < len(_SMALL):
+        return Hallmark(tuple(map(_SMALL.__getitem__, totals)))
     return Hallmark(
         tuple(
             Count.MANY if many >> i & 1 else _SMALL[n] if n < len(_SMALL) else Count(n)
@@ -148,9 +175,7 @@ def l1_distance(a: Hallmark, b: Hallmark) -> int:
     """
     if a.has_many or b.has_many:
         raise SymbolicCountError("L1 distance is undefined on a symbolic count 'many'")
-    return sum(
-        abs(x.value - y.value) for x, y in zip(a.components, b.components)  # type: ignore[operator]
-    )
+    return sum(map(abs, map(sub, a._values, b._values)))
 
 
 def hamming_distance(a: BinaryHallmark, b: BinaryHallmark) -> int:

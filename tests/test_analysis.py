@@ -31,6 +31,7 @@ from tangibility import (
     parse_term,
     role_distribution,
     term_coverage,
+    term_of,
 )
 from tangibility import analysis
 from tangibility.hallmark import binarize, compute_hallmark, hamming_distance, l1_distance
@@ -152,6 +153,34 @@ class TestRoleDistribution:
         shares = role_distribution(corpus)
         assert sum(s.count for s in shares.values()) == corpus.record_count
         assert all(0 <= s.percent <= 100 for s in shares.values())
+
+
+# The golden corpus, seeded corpora, entity-less applications and no applications.
+COUNTED_CORPORA = {
+    "golden": load_golden(),
+    **{f"seed {seed}": random_corpus(random.Random(seed), max_apps=40) for seed in range(20)},
+    "entity-less applications": Corpus((_app(1), _app(2, "opable", "datible"), _app(3))),
+    "entity-less only": Corpus((_app(1), _app(2))),
+    "empty": Corpus(),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_CORPORA)
+def test_coverage_and_roles_match_a_per_entity_count(name):
+    corpus = COUNTED_CORPORA[name]
+    terms = {term: 0 for term in all_terms()}
+    roles = {role: 0 for role in Role}
+    for app in corpus.applications:
+        for entity in app.entities:
+            terms[term_of(entity.role, entity.tangibility)] += 1
+            roles[entity.role] += 1
+    assert list(term_coverage(corpus).items()) == list(terms.items())
+    if not corpus.record_count:
+        with pytest.raises(EmptyCorpusError):
+            role_distribution(corpus)
+        return
+    shares = role_distribution(corpus)
+    assert [(role, share.count) for role, share in shares.items()] == list(roles.items())
 
 
 class TestClassDistribution:

@@ -2,13 +2,20 @@
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import subprocess
+import sys
+from dataclasses import fields, replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from corpusgen import random_hallmark
+import tangibility
 from tangibility import (
     Application,
     BinaryHallmark,
@@ -22,6 +29,7 @@ from tangibility import (
     l1_distance,
     parse_term,
 )
+from tangibility.hallmark import _SMALL
 
 
 def _entity(term_name: str, count: Count = Count(1)) -> Entity:
@@ -59,6 +67,15 @@ def test_counts_weigh_in():
     assert mark.component(parse_term("tolable")) == Count(4)
 
 
+def test_small_totals_share_counts():
+    for n in (0, 1, 63, 64, 1000):
+        for extra in ((), (_entity("opible", Count.MANY),)):
+            mark = compute_hallmark(_app(_entity("datible", Count(n)), *extra))
+            assert mark == Hallmark.of(n, 0, 0, 0, 0, 0, "many" if extra else 0, *[0] * 5)
+            if n < len(_SMALL):
+                assert mark.component(parse_term("datible")) is _SMALL[n]
+
+
 def test_many_absorbs_in_sums():
     mark = compute_hallmark(_app(_entity("opible", Count.MANY), _entity("opible")))
     assert mark.component(parse_term("opible")) == Count.MANY
@@ -68,6 +85,68 @@ def test_many_absorbs_in_sums():
 def test_empty_application_is_zero():
     assert compute_hallmark(_app()) == Hallmark.zero()
     assert not Hallmark.zero().has_many
+
+
+def test_every_mask_from_shared_and_fresh_counts():
+    """All 4,096 positivity masks, each built once from the shared Counts and
+    once from fresh ones: the same mask, "many" flag, equality and hash."""
+    cycle = (1, 63, 64, 1000, None)
+    marks = set()
+    for mask in range(1 << 12):
+        values = [0] * 12
+        positive = [i for i in range(12) if mask >> i & 1]
+        for k, i in enumerate(positive):
+            values[i] = cycle[(k + mask) % len(cycle)]
+        shared = Hallmark(
+            tuple(
+                Count.MANY if v is None else _SMALL[v] if v < len(_SMALL) else Count(v)
+                for v in values
+            )
+        )
+        fresh = Hallmark(tuple(Count(v) for v in values))
+        for mark in (shared, fresh):
+            components = mark.components
+            assert mark.mask == sum(1 << i for i, c in enumerate(components) if c.is_positive)
+            assert mark.mask == mask
+            assert mark.has_many == any(c.is_many for c in components)
+        assert shared == fresh
+        assert hash(shared) == hash(fresh)
+        assert len({shared, fresh}) == 1
+        marks |= {shared, fresh}
+    assert len(marks) == 1 << 12
+
+
+def test_dataclass_surface():
+    mark = Hallmark.of("many", 1, 64, *[0] * 9)
+    counts = ["Count(value=None)", "Count(value=1)", "Count(value=64)"] + ["Count(value=0)"] * 9
+    assert repr(mark) == f"Hallmark(components=({', '.join(counts)}))"
+    assert [(f.name, f.init, f.repr, f.compare, f.hash) for f in fields(Hallmark)] == [
+        ("components", True, True, True, None),
+        ("mask", False, False, False, None),
+    ]
+    other = Hallmark.of(*[2] * 12)
+    replaced = replace(mark, components=other.components)
+    assert replaced == other
+    assert hash(replaced) == hash(other)
+    assert (replaced.mask, replaced.has_many) == (0xFFF, False)
+    with pytest.raises(ValueError):
+        replace(mark, mask=0)
+
+
+def test_a_hallmark_pickled_in_another_process_hashes_as_one_built_here():
+    # Before Python 3.12, hash(None), and so the hash of a "many" component's
+    # value, differs from one process to the next.
+    code = (
+        "import pickle, sys; from tangibility import Hallmark; "
+        "sys.stdout.buffer.write(pickle.dumps(Hallmark.of('many', 3, *[0] * 10)))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(tangibility.__file__).parent.parent)}
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, check=True, env=env)
+    loaded = pickle.loads(run.stdout)
+    built = Hallmark.of("many", 3, *[0] * 10)
+    assert loaded == built
+    assert hash(loaded) == hash(built)
+    assert loaded.mask == built.mask
 
 
 def test_wrong_arity_rejected():

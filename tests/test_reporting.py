@@ -6,6 +6,7 @@ import csv
 import dataclasses
 import io
 import json
+import random
 import re
 import sys
 
@@ -13,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corpusgen import random_corpus
 from tangibility import (
     Application,
     Corpus,
@@ -70,9 +72,9 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(mask >> i & 1 for i in range(12))
 
 
-def test_analytics_report_computes_each_hallmark_once(monkeypatch):
-    # Count calls wherever a tangibility module binds compute_hallmark, as the
-    # benchmark's tracer does.
+def _spy_compute_hallmark(monkeypatch) -> list[int]:
+    """The ids of the applications compute_hallmark is called on, spied
+    wherever a tangibility module binds it, as the benchmark's tracer does."""
     calls = []
 
     def counted(app):
@@ -84,6 +86,11 @@ def test_analytics_report_computes_each_hallmark_once(monkeypatch):
             for key, value in list(vars(module).items()):
                 if value is compute_hallmark:
                     monkeypatch.setattr(module, key, counted)
+    return calls
+
+
+def test_analytics_report_computes_each_hallmark_once(monkeypatch):
+    calls = _spy_compute_hallmark(monkeypatch)
     golden = load_golden()
     exact = tuple(
         dataclasses.replace(
@@ -110,6 +117,30 @@ def test_analytics_report_computes_each_hallmark_once(monkeypatch):
     for metric in (Metric.HAMMING, Metric.L1):
         analytics_report(corpus, metric=metric)
     assert sorted(calls) == sorted(app.id for app in exact)
+
+
+def test_analytics_report_hashes_no_count(monkeypatch):
+    """Hallmarks hash from their values, read once when built: clusters and
+    distinct counts never hash a Count."""
+    calls = _spy_compute_hallmark(monkeypatch)
+    hashed = []
+    count_hash = Count.__hash__
+
+    def spy(count):
+        hashed.append(count)
+        return count_hash(count)
+
+    monkeypatch.setattr(Count, "__hash__", spy)
+    hash(Count(3))
+    assert len(hashed) == 1  # the spy sees a Count hashed
+    hashed.clear()
+    for metric, allow_many in ((Metric.HAMMING, True), (Metric.L1, False)):
+        rng = random.Random(f"hash {metric.value}")
+        corpus = random_corpus(rng, 200, min_apps=200, allow_many=allow_many)
+        calls.clear()
+        analytics_report(corpus, metric=metric)
+        assert sorted(calls) == sorted(app.id for app in corpus.applications)
+    assert hashed == []
 
 
 def test_l1_refuses_many_before_building_other_sections(monkeypatch):
