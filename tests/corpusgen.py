@@ -73,6 +73,7 @@ def clean_corpus(seed: int) -> Corpus:
 # The JSON text written for each "@" in a string; no generated string holds one.
 JSON_ESCAPES = {
     "escaped \\n": "\\n",
+    "escaped \\r": "\\r",
     "escaped \\u000d": "\\u000d",
     "escaped \\ud800": "\\ud800",
     "escaped \\u00e9": "\\u00e9",  # no finding
@@ -111,6 +112,9 @@ def mutated_json(kind: str, rng: random.Random, data: dict) -> str:
     elif kind.startswith(("year ", "refs ", "genre ")):
         key, value = kind.split(" ", 1)
         app[key] = json.loads(value)
+    elif kind.startswith(("what ", "how ")):
+        key, value = kind.split(" ", 1)
+        entity[key] = json.loads(value)
     elif kind in JSON_ESCAPES:
         field = rng.choice(["name", "genre", "subgenre", "refs", "entity name", "note"])
         if field == "refs":
@@ -139,6 +143,10 @@ JSON_MUTATIONS = (
     "count null",
     "count true",
     'count "3"',
+    "count 1.0",
+    'what ["datum"]',
+    "what null",
+    'how "Tangible"',
     "empty name",
     "duplicate name",
     "no entities",

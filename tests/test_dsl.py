@@ -30,7 +30,13 @@ from tangibility import dsl
 from tangibility.dsl import _TOKEN, _lex, _parse_tokens
 from tangibility.golden import GOLDEN_RESOURCE
 from tangibility.model import Diagnostic, InvariantChecker, SourceSpan
-from test_snapshots import DIGESTS, JSON_MUTATION_DIGESTS, json_mutation_digest
+from test_snapshots import (
+    DIGESTS,
+    ENTITY_GRID_DIGEST,
+    JSON_MUTATION_DIGESTS,
+    json_entity_grid_digest,
+    json_mutation_digest,
+)
 
 MINIMAL = """
 # a one-specimen corpus
@@ -1152,6 +1158,13 @@ def test_mutated_json_reads_as_the_diagnosing_reader_reads_it(kind):
     """JSON with one edit of ``kind`` reads as it did when its digest was pinned."""
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[JSON_MUTATION_DIGESTS]
     assert json_mutation_digest(kind) == pinned[kind]
+
+
+def test_entity_grid_reads_as_the_diagnosing_reader_reads_it():
+    """Every combination of valid and wrong entity values reads as it did when
+    its digest was pinned, with and without an escape elsewhere in the text."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[ENTITY_GRID_DIGEST]
+    assert json_entity_grid_digest() == pinned
 
 
 def test_json_is_read_in_one_pass(monkeypatch):

@@ -22,7 +22,9 @@ ingest commands run too: validate, and export as text and as JSON.
   and one term summing to 300 (L1 pair by pair).
 - ``import_json`` alone, not the CLI, is pinned on JSON with one edit of each
   ``corpusgen.JSON_MUTATIONS`` kind, over 60 seeded corpora: one digest per
-  kind of each loaded corpus and every diagnostic, in the same file.
+  kind of each loaded corpus and every diagnostic, in the same file.  One
+  more digest pins it on one-application corpora whose one entity takes
+  every combination of ``ENTITY_GRID``'s values.
 
 Generated corpora are fed as JSON on stdin, so diagnostics name
 ``<stdin>`` and do not depend on a temporary path.  The snapshots record
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 import hashlib
 import io
+import itertools
 import json
 import random
 import sys
@@ -74,6 +77,17 @@ LARGE = {
 }
 COLLISIONS = "collisions"
 JSON_MUTATION_DIGESTS = "json-mutations"
+ENTITY_GRID_DIGEST = "json-entity-grid"
+MISSING = object()  # an ENTITY_GRID value: the key is left out
+# Valid values, and each way the JSON reader can find one wrong; "color" is an unknown key.
+ENTITY_GRID = {
+    "name": ["e", "", " ", 1, MISSING],
+    "what": ["datum", "Datum", 1, ["datum"], None, MISSING],
+    "how": ["tangible", "Tangible", 1, ["tangible"], None, MISSING],
+    "count": [1, 63, 64, 0, -1, 1.0, True, "many", "3", None, MISSING],
+    "note": ["n", None, 1, MISSING],
+    "color": [MISSING, "red"],
+}
 
 
 def _cases() -> dict[str, list[str]]:
@@ -139,23 +153,45 @@ def _collision_corpus() -> str:
     return export_json(corpus)
 
 
+def _imported(text: str) -> list:
+    """import_json's result on ``text``: the corpus as export_json writes it, and
+    each diagnostic's severity, message and span, in order."""
+    corpus, diagnostics = import_json(text)
+    findings = [
+        [d.severity.value, d.message, d.span and [d.span.line, d.span.column]]
+        for d in diagnostics
+    ]
+    return [export_json(corpus), findings]
+
+
+def _sha256(results: list) -> str:
+    return hashlib.sha256(json.dumps(results).encode("ascii")).hexdigest()
+
+
 def json_mutation_digest(kind: str) -> str:
     """The digest of import_json's result on each seed's clean corpus, exported
-    and changed by one edit of ``kind``: the corpus as export_json writes it, and
-    each diagnostic's severity, message and span, in order."""
+    and changed by one edit of ``kind``."""
     results = []
     for seed in range(60):
         rng = random.Random(seed)
         data = json.loads(export_json(clean_corpus(seed)))
         if not data["applications"]:
             continue
-        corpus, diagnostics = import_json(mutated_json(kind, rng, data))
-        findings = [
-            [d.severity.value, d.message, d.span and [d.span.line, d.span.column]]
-            for d in diagnostics
-        ]
-        results.append([export_json(corpus), findings])
-    return hashlib.sha256(json.dumps(results).encode("ascii")).hexdigest()
+        results.append(_imported(mutated_json(kind, rng, data)))
+    return _sha256(results)
+
+
+def json_entity_grid_digest() -> str:
+    """The digest of import_json's result on each one-application corpus whose one
+    entity takes a combination of ``ENTITY_GRID``'s values, read as is and with a
+    \\u00e9 escape in the application's name."""
+    results = []
+    for values in itertools.product(*ENTITY_GRID.values()):
+        entity = {key: value for key, value in zip(ENTITY_GRID, values) if value is not MISSING}
+        for name in ("a", "a\\u00e9"):
+            app = f'{{"id":1,"name":"{name}","entities":[{json.dumps(entity)}]}}'
+            results.append(_imported(f'{{"applications":[{app}]}}'))
+    return _sha256(results)
 
 
 def _byte_stream(data: bytes = b"") -> io.TextIOWrapper:
@@ -226,6 +262,7 @@ def _write_snapshots() -> None:
     digests.update({name: _corpus_digests(_large_corpus(name), ANALYZE) for name in LARGE})
     digests[COLLISIONS] = _corpus_digests(_collision_corpus())
     digests[JSON_MUTATION_DIGESTS] = {kind: json_mutation_digest(kind) for kind in JSON_MUTATIONS}
+    digests[ENTITY_GRID_DIGEST] = json_entity_grid_digest()
     for path, payload in ((GOLDEN_STATUS, status), (DIGESTS, digests)):
         path.write_text(
             json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
