@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property
 from itertools import chain
 from operator import attrgetter, sub
-from typing import Callable, Collection, Sequence, Union
+from typing import Callable, Collection, Iterable, Sequence, Union
 
 from .classify import classify
 from .hallmark import BinaryHallmark, Hallmark, SymbolicCountError, binarize
@@ -147,10 +147,13 @@ def _by_id(corpus: Corpus) -> list[tuple[Application, Hallmark]]:
 
 def class_distribution(corpus: Corpus) -> dict[str, int]:
     """Applications per class label, including 'unclassified'."""
-    distribution = {label: 0 for label in CLASS_LABELS}
-    for mark in corpus.hallmarks:
-        distribution[classify(mark).label] += 1
-    return distribution
+    return _class_counts(classify(mark).label for mark in corpus.hallmarks)
+
+
+def _class_counts(labels: Iterable[str]) -> dict[str, int]:
+    """How many of ``labels``, one per application, are each class label."""
+    counts = Counter(labels)
+    return {label: counts[label] for label in CLASS_LABELS}
 
 
 def _clusters(keyed: dict) -> list[Cluster]:

@@ -49,10 +49,16 @@ match per block (`_read_canonical`, its patterns built from the field
 table).  Any other text, and any with a finding, goes to the token parser
 (`_parse_tokens`), the only source of text diagnostics.  JSON, a one-object
 schema for interchange with other tooling, is read by `_JsonReader` alone,
-after one `json.loads`.  In either format a repeated key keeps its
-last value and draws a warning.  `_read` is the one entry for a file, stdin
-or the bundled asset: it decodes UTF-8 bytes and reads text starting with
-"{" or "[" as JSON.
+after one `json.loads`.  Each entity first gets one lean test, which holds
+only where the located read would record no finding: a plain object of known
+keys, a name that is not blank, a known role and tangibility, an integer
+count already read (or below 64) or "many", a string or no note, and no
+\\n, \\r or \\u escape in the text.  Such an entity is built at once; any
+other is read located, its location built then, so the checker and that read
+remain the only source of JSON diagnostics.  In either format a repeated key
+keeps its last value and draws a warning.  `_read` is the one entry for a
+file, stdin or the bundled asset: it decodes UTF-8 bytes and reads text
+starting with "{" or "[" as JSON.
 """
 
 from __future__ import annotations
@@ -522,6 +528,13 @@ _ENTITY_KEYS = frozenset({"name", *_ENTITY.fields})
 # no int or str subclass, so an exact type test is is_integer's (bool is not int).
 _FIELD_TYPES = {"name": str, **_APPLICATION.fields, **_ENTITY.fields}
 _INT_OR_NONE, _STR_OR_NONE = (int, type(None)), (str, type(None))  # an optional value's types
+# Whether a JSON text holds a \n, \r or \u escape: only these can put a line
+# break or a lone surrogate in a string, as json.loads refuses a raw line break
+# and _text a raw lone surrogate.
+_BREAK_ESCAPE = re.compile(r"\\[nru]").search
+# The Count of each JSON count a read starts with, so the lean test of _read_entity
+# holds from a corpus's first entity on; a read adds every other count it meets.
+_SMALL_COUNTS = {"many": Count.MANY, **{n: Count(n) for n in range(1, 64)}}
 
 
 class _Repeats(dict):
@@ -543,10 +556,8 @@ class _JsonReader:
 
     def __init__(self, text: str) -> None:
         self.check = InvariantChecker()
-        # json.loads refuses a raw line break, and _text a raw lone surrogate, so
-        # only an escape puts one in a string, and one_line has nothing to find.
-        self._escaped = "\\n" in text or "\\r" in text or "\\u" in text
-        self._counts = {"many": Count.MANY}  # each count read so far, by its JSON value
+        self._escaped = _BREAK_ESCAPE(text) is not None  # else one_line has nothing to find
+        self._counts = dict(_SMALL_COUNTS)  # and each count read so far, by its JSON value
 
     def read(self, data: Any) -> Corpus:
         if not isinstance(data, dict):
@@ -621,14 +632,27 @@ class _JsonReader:
             check.error(f"{ctx}: entities must be an array")
         else:
             for index, entity_node in enumerate(entity_nodes):
-                entities.append(self._read_entity(entity_node, f"{ctx}.entities[{index}]"))
+                entities.append(self._read_entity(entity_node, ctx, index))
         if check.errors > errors:  # each entity read as None counted one
             return None
         check.entity_records(ctx, len(entities))
         check.count_total(ctx, entities)
         return Application(app_id, name, year, genre, subgenre, tuple(refs), tuple(entities))
 
-    def _read_entity(self, node: Any, ctx: str) -> Entity | None:
+    def _read_entity(self, node: Any, ctx: str, index: int) -> Entity | None:
+        # The lean test holds only where the located read below would record no
+        # finding; count is tested by exact type, as 1.0 and True find Count(1).
+        if (
+            type(node) is dict and node.keys() <= _ENTITY_KEYS and not self._escaped
+            and type(name := node.get("name")) is str and name.strip()
+            and type(what := node.get("what")) is str and what in _ROLES
+            and type(how := node.get("how")) is str and how in _TANGIBILITIES
+            and (type(count := node.get("count", 1)) is int or count == "many")
+            and count in self._counts
+            and type(note := node.get("note")) in _STR_OR_NONE
+        ):
+            return Entity(name, _ROLES[what], _TANGIBILITIES[how], self._counts[count], note)
+        ctx = f"{ctx}.entities[{index}]"
         if not self._object(node, ctx, _ENTITY_KEYS):
             return None
         check = self.check

@@ -20,6 +20,7 @@ from typing import Any, Iterable, Iterator
 from .analysis import (
     CLASS_LABELS,
     _by_id,
+    _class_counts,
     Cluster,
     CrossTab,
     DistanceMatrix,
@@ -28,7 +29,6 @@ from .analysis import (
     cluster_by_binary_hallmark,
     cluster_by_hallmark,
     cross_tab,
-    class_distribution,
     distance_matrix,
     distinct_binary_hallmark_count,
     distinct_hallmark_count,
@@ -389,15 +389,16 @@ def analytics_report(
         roles: dict[Role, RoleShare] | None = role_distribution(corpus)
     except EmptyCorpusError:
         roles = None
+    crosstab = cross_tab(corpus, key)  # its class labels give the class distribution
     return Analytics(
         application_count=len(corpus.applications),
         record_count=corpus.record_count,
         coverage=coverage_report(corpus),
         roles=roles,
-        classes=class_distribution(corpus),
+        classes=_class_counts(crosstab.classes),
         clusters=clusters_report(corpus),
         binary_clusters=clusters_report(corpus, binary=True),
-        crosstab=cross_tab(corpus, key),
+        crosstab=crosstab,
         matrix=matrix,
     )
 

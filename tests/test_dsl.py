@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import JSON_MUTATIONS, clean_corpus, random_corpus
+from corpusgen import JSON_ESCAPES, JSON_MUTATIONS, clean_corpus, random_corpus
 from tangibility import (
     Corpus,
     Count,
@@ -1165,6 +1165,15 @@ def test_entity_grid_reads_as_the_diagnosing_reader_reads_it():
     its digest was pinned, with and without an escape elsewhere in the text."""
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[ENTITY_GRID_DIGEST]
     assert json_entity_grid_digest() == pinned
+
+
+@pytest.mark.parametrize(
+    "text", [*JSON_ESCAPES.values(), "a\\\\nb", '\\t \\" \\/ \\\\ \\b', "no backslash"]
+)
+def test_escape_flag_is_the_three_substring_test(text):
+    """One regex search says whether a text holds a \\n, \\r or \\u escape."""
+    escaped = "\\n" in text or "\\r" in text or "\\u" in text
+    assert dsl._JsonReader(text)._escaped is escaped
 
 
 def test_json_is_read_in_one_pass(monkeypatch):

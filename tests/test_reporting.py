@@ -9,6 +9,7 @@ import json
 import random
 import re
 import sys
+from operator import attrgetter
 
 import pytest
 from hypothesis import given, settings
@@ -23,6 +24,8 @@ from tangibility import (
     Metric,
     SymbolicCountError,
     all_terms,
+    class_distribution,
+    classify,
     compute_hallmark,
     load_golden,
     parse_term,
@@ -72,21 +75,26 @@ def _bits(mask: int) -> tuple[int, ...]:
     return tuple(mask >> i & 1 for i in range(12))
 
 
-def _spy_compute_hallmark(monkeypatch) -> list[int]:
-    """The ids of the applications compute_hallmark is called on, spied
-    wherever a tangibility module binds it, as the benchmark's tracer does."""
+def _spy(monkeypatch, function, record) -> list:
+    """``record`` of the argument of each call to the one-argument ``function``,
+    spied wherever a tangibility module binds it, as the benchmark's tracer does."""
     calls = []
 
-    def counted(app):
-        calls.append(app.id)
-        return compute_hallmark(app)
+    def counted(argument):
+        calls.append(record(argument))
+        return function(argument)
 
     for name, module in list(sys.modules.items()):
         if name.split(".")[0] == "tangibility":
             for key, value in list(vars(module).items()):
-                if value is compute_hallmark:
+                if value is function:
                     monkeypatch.setattr(module, key, counted)
     return calls
+
+
+def _spy_compute_hallmark(monkeypatch) -> list[int]:
+    """The ids of the applications compute_hallmark is called on."""
+    return _spy(monkeypatch, compute_hallmark, attrgetter("id"))
 
 
 def test_analytics_report_computes_each_hallmark_once(monkeypatch):
@@ -117,6 +125,17 @@ def test_analytics_report_computes_each_hallmark_once(monkeypatch):
     for metric in (Metric.HAMMING, Metric.L1):
         analytics_report(corpus, metric=metric)
     assert sorted(calls) == sorted(app.id for app in exact)
+
+
+def test_analytics_report_classifies_each_hallmark_once(monkeypatch):
+    marks = _spy(monkeypatch, classify, id)
+    for metric, allow_many in ((Metric.HAMMING, True), (Metric.L1, False)):
+        rng = random.Random(f"classify {metric.value}")
+        corpus = random_corpus(rng, 50, min_apps=50, allow_many=allow_many)
+        marks.clear()
+        report = analytics_report(corpus, metric=metric)
+        assert sorted(marks) == sorted(map(id, corpus.hallmarks))
+        assert report.classes == class_distribution(corpus)
 
 
 def test_analytics_report_hashes_no_count(monkeypatch):
@@ -150,7 +169,7 @@ def test_l1_refuses_many_before_building_other_sections(monkeypatch):
     for name in (
         "term_coverage",
         "role_distribution",
-        "class_distribution",
+        "_class_counts",
         "cluster_by_hallmark",
         "cluster_by_binary_hallmark",
         "distinct_hallmark_count",
