@@ -34,8 +34,11 @@ from test_snapshots import (
     DIGESTS,
     ENTITY_GRID_DIGEST,
     JSON_MUTATION_DIGESTS,
+    WRITER_DIGEST,
     json_entity_grid_digest,
     json_mutation_digest,
+    writer_corpus,
+    writer_digest,
 )
 
 MINIMAL = """
@@ -1165,6 +1168,16 @@ def test_entity_grid_reads_as_the_diagnosing_reader_reads_it():
     its digest was pinned, with and without an escape elsewhere in the text."""
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[ENTITY_GRID_DIGEST]
     assert json_entity_grid_digest() == pinned
+
+
+def test_writers_write_as_pinned():
+    """Both writers give, on a library-built corpus, the texts pinned for it."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[WRITER_DIGEST]
+    assert writer_digest() == pinned
+    corpus = writer_corpus()
+    warning = "application 12: no entity records"
+    assert parse_corpus(serialize_corpus(corpus)) == (corpus, [W(warning, SourceSpan(83, 13))])
+    assert import_json(export_json(corpus)) == (corpus, [W("applications[2]: no entity records")])
 
 
 @pytest.mark.parametrize(

@@ -25,6 +25,8 @@ ingest commands run too: validate, and export as text and as JSON.
   kind of each loaded corpus and every diagnostic, in the same file.  One
   more digest pins it on one-application corpora whose one entity takes
   every combination of ``ENTITY_GRID``'s values.
+- ``serialize_corpus`` and ``export_json`` alone are pinned on one
+  library-built corpus (``writer_corpus``): one digest of both texts.
 
 Generated corpora are fed as JSON on stdin, so diagnostics name
 ``<stdin>`` and do not depend on a temporary path.  The snapshots record
@@ -52,6 +54,7 @@ import pytest
 
 from tangibility import (
     Application, Corpus, Count, Entity, Role, Tangibility, export_json, import_json,
+    serialize_corpus,
 )
 from tangibility.cli import main
 
@@ -78,6 +81,7 @@ LARGE = {
 COLLISIONS = "collisions"
 JSON_MUTATION_DIGESTS = "json-mutations"
 ENTITY_GRID_DIGEST = "json-entity-grid"
+WRITER_DIGEST = "writers"
 MISSING = object()  # an ENTITY_GRID value: the key is left out
 # Valid values, and each way the JSON reader can find one wrong; "color" is an unknown key.
 ENTITY_GRID = {
@@ -194,6 +198,33 @@ def json_entity_grid_digest() -> str:
     return _sha256(results)
 
 
+def writer_corpus() -> Corpus:
+    """A corpus built by the library, not read: every role and tangibility pair,
+    a freshly built Count(1), the default one, "many" and counts of 64 and more,
+    an empty note, and quotes, backslashes and non-ASCII text in every string."""
+    pairs = [(role, tangibility) for role in Role for tangibility in Tangibility]
+    counts = [Count(1), Count.MANY, Count(64), Count(999), Count(2), Count(63)]
+    notes = [None, "", 'say "hi"', "back\\slash", "é ×", None]
+    entities = tuple(
+        Entity(f'e{i} "q" \\ é', role, tangibility, counts[i % 6], notes[i % 6])
+        for i, (role, tangibility) in enumerate(pairs)
+    )
+    return Corpus((
+        Application(
+            7, 'Quote " and \\ back', 2001, 'Genre "g" \\', "Sub\\genre é",
+            ('ref"1', "ref\\2", ""), entities,
+        ),
+        Application(3, "bare", entities=(Entity("default", Role.TOOL, Tangibility.GRASPABLE),)),
+        Application(12, "no entities", year=0, genre="", subgenre=""),
+    ))
+
+
+def writer_digest() -> str:
+    """The digest of serialize_corpus and export_json of ``writer_corpus``."""
+    corpus = writer_corpus()
+    return _sha256([serialize_corpus(corpus), export_json(corpus)])
+
+
 def _byte_stream(data: bytes = b"") -> io.TextIOWrapper:
     return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
 
@@ -263,6 +294,7 @@ def _write_snapshots() -> None:
     digests[COLLISIONS] = _corpus_digests(_collision_corpus())
     digests[JSON_MUTATION_DIGESTS] = {kind: json_mutation_digest(kind) for kind in JSON_MUTATIONS}
     digests[ENTITY_GRID_DIGEST] = json_entity_grid_digest()
+    digests[WRITER_DIGEST] = writer_digest()
     for path, payload in ((GOLDEN_STATUS, status), (DIGESTS, digests)):
         path.write_text(
             json.dumps(payload, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
