@@ -46,7 +46,10 @@ defaults omitted.  Parsing the canonical form reproduces the corpus
 exactly.  Canonical text, with blank and `#` comment lines between
 applications and with or without its final newline, is read by one regex
 match per block (`_read_canonical`, its patterns built from the field
-table).  Any other text, and any with a finding, goes to the token parser
+table).  It checks a count text only the first time a read meets it (1-63
+and "many" are known), unescapes an entity only if its block holds a
+backslash, and tests an application's entity names for blanks all at once.
+Any other text, and any with a finding, goes to the token parser
 (`_parse_tokens`), the only source of text diagnostics.  JSON, a one-object
 schema for interchange with other tooling, is read by `_JsonReader` alone,
 after one `json.loads`.  Each entity first gets one lean test, which holds
@@ -67,6 +70,7 @@ import enum
 import json
 import re
 import sys
+from operator import attrgetter
 from typing import Any, NamedTuple
 
 from .model import (
@@ -151,7 +155,8 @@ _VALUE_KINDS = {int: _TokenKind.INTEGER, str: _TokenKind.STRING}
 _TERMS = {"what": ("role", _ROLES), "how": ("tangibility", _TANGIBILITIES)}
 
 # A string's characters up to its closing quote; a line break ends it early.
-_STRING_BODY = r'(?:[^"\\\n]|\\["\\])*'
+# Unrolled, so that a run of plain characters is one repeat, not one alternation each.
+_STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
 # One group per token kind, named after it, plus whitespace and comments to
 # skip, and two errors: a string that never closes (ESCAPE: at the backslash
 # of an escape it does not support) and any other character.
@@ -383,13 +388,17 @@ _CANONICAL_APPLICATION = re.compile(_GAP + _canonical(_APPLICATION, ""))
 _CANONICAL_ENTITY = re.compile(_canonical(_ENTITY, "  ") + "  \\}\n")
 _CANONICAL_END = re.compile(_GAP + r"(?:\#[^\n]*)?")
 _QUOTED_ITEM = re.compile(_QUOTED)
-_COUNTS = {None: Count(1), "many": Count.MANY}
+# The Count of each count text a read starts with; a read adds each other text it meets.
+_COUNTS = {None: Count(1), "many": Count.MANY, **{str(n): Count(n) for n in range(1, 64)}}
+_NAME = attrgetter("name")
 
 
 def _read_canonical(text: str) -> tuple[Corpus, list[Diagnostic]] | None:
     """``text`` read if it is canonical and has no finding, else None.  The checks
-    are the token parser's, unlocated: on a finding it reads the text again."""
+    are the token parser's, unlocated, or leaner tests that return None where one
+    would record a finding: on a finding the token parser reads the text again."""
     check, where, applications, pos = InvariantChecker(), "", [], 0
+    counts = dict(_COUNTS)  # so a count text is checked and built once per read
     try:
         while (match := _CANONICAL_APPLICATION.match(text, pos)) is not None:
             name, app_id, year, genre, subgenre, refs = match.groups()
@@ -397,13 +406,16 @@ def _read_canonical(text: str) -> tuple[Corpus, list[Diagnostic]] | None:
             entities, pos = [], match.end()
             while (match := _CANONICAL_ENTITY.match(text, pos)) is not None:
                 entity, what, how, count, note = match.groups()
-                check.name(where, entity := _unescape(entity))
-                count = _COUNTS[count] if count in _COUNTS else Count(int(count))
-                check.count(where, count.value)
+                if text.find("\\", pos, end := match.end()) >= 0:
+                    entity, note = _unescape(entity), _unescape(note)
+                if count not in counts:
+                    check.count(where, value := int(count))
+                    counts[count] = Count(value)
                 role, tangibility = _ROLES[what], _TANGIBILITIES[how]
-                entities.append(Entity(entity, role, tangibility, count, _unescape(note)))
-                pos = match.end()
-            if not text.startswith("}\n", pos):
+                entities.append(Entity(entity, role, tangibility, counts[count], note))
+                pos = end
+            # check.name's test: no code point casefolds to "", so only a blank name fails.
+            if not text.startswith("}\n", pos) or not all(map(str.strip, map(_NAME, entities))):
                 return None
             pos += 2
             check.name(where, name := _unescape(name), unique=True)
@@ -467,6 +479,14 @@ def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+# The writers' tables: each term's text, each entity's what: and how: lines, and
+# the count that serialize_corpus leaves out.
+_TERM_VALUES = {term: term.value for term in (*Role, *Tangibility)}
+_WHAT_LINES = {role: f"    what: {role.value}" for role in Role}
+_HOW_LINES = {tang: f"    how: {tang.value}" for tang in Tangibility}
+_ONE = Count(1)
+
+
 def serialize_corpus(corpus: Corpus) -> str:
     """Write the canonical text form.  Empty corpus serializes to ''."""
     blocks: list[str] = []
@@ -483,9 +503,9 @@ def serialize_corpus(corpus: Corpus) -> str:
             lines.append("  refs: [" + ", ".join(_quote(r) for r in app.refs) + "]")
         for entity in app.entities:
             lines.append(f"  entity {_quote(entity.name)} {{")
-            lines.append(f"    what: {entity.role.value}")
-            lines.append(f"    how: {entity.tangibility.value}")
-            if entity.count != Count(1):
+            lines.append(_WHAT_LINES[entity.role])
+            lines.append(_HOW_LINES[entity.tangibility])
+            if entity.count != _ONE:
                 lines.append(f"    count: {entity.count}")
             if entity.note is not None:
                 lines.append(f"    note: {_quote(entity.note)}")
@@ -507,16 +527,18 @@ def export_json(corpus: Corpus) -> str:
         if app.subgenre is not None:
             record["subgenre"] = app.subgenre
         record["refs"] = list(app.refs)
-        record["entities"] = [
-            {
+        record["entities"] = entities = []
+        for e in app.entities:
+            count = e.count.value
+            entity = {
                 "name": e.name,
-                "what": e.role.value,
-                "how": e.tangibility.value,
-                "count": e.count.to_json(),
-                **({"note": e.note} if e.note is not None else {}),
+                "what": _TERM_VALUES[e.role],
+                "how": _TERM_VALUES[e.tangibility],
+                "count": "many" if count is None else count,
             }
-            for e in app.entities
-        ]
+            if e.note is not None:
+                entity["note"] = e.note
+            entities.append(entity)
         applications.append(record)
     return json.dumps({"applications": applications}, separators=(",", ":"), ensure_ascii=False)
 

@@ -1105,6 +1105,22 @@ def _mutate(lines, kind, rng):
             lines.insert(pick("  id: ") + 1, "  refs: []")
         else:
             lines[refs] = "  refs: []"
+    elif kind in ("count 64 or 999 twice", "leading zeros"):
+        values = ["64", "999"] if kind.startswith("count") else ["007", "00"]
+        value = rng.choice(values)
+        hows = [i for i, line in enumerate(lines) if line.startswith("    how: ")]
+        for at in sorted(rng.sample(hows, min(2, len(hows))), reverse=True):
+            at += 1
+            lines[at : at + lines[at].startswith("    count: ")] = [f"    count: {value}"]
+    elif kind == "blank unicode name":
+        at = pick(rng.choice(["application ", "  entity "]))
+        lines[at] = re.sub(r'".*"', rng.choice(['"\u00a0"', '"\u2003 \u00a0"']), lines[at])
+    elif kind == "escape in a note only":
+        at = pick("  entity ")
+        lines[at] = '  entity "noted" {'
+        at += 3 + lines[at + 3].startswith("    count: ")
+        note = rng.choice(['    note: "a \\" b"', '    note: "a \\\\ b"'])
+        lines[at : at + lines[at].startswith("    note: ")] = [note]
 
 
 @pytest.mark.parametrize(
@@ -1123,6 +1139,10 @@ def _mutate(lines, kind, rng):
         "trailing blanks",
         "empty refs",
         "no final newline",
+        "count 64 or 999 twice",
+        "leading zeros",
+        "blank unicode name",
+        "escape in a note only",
     ],
 )
 def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
@@ -1134,6 +1154,43 @@ def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
         _mutate(lines, kind, rng)
         text = "\n".join(lines) + ("" if kind == "no final newline" else "\n")
         assert parse_corpus(text) == _parse_tokens(text), (kind, seed)
+        if kind in ("count 64 or 999 twice", "escape in a note only"):  # no finding
+            assert dsl._read_canonical(text) is not None, (kind, seed)
+
+
+# The string body as one alternation per character, before it was unrolled.
+_ALTERNATION_BODY = r'(?:[^"\\\n]|\\["\\])*'
+_ALTERNATION_TOKEN = re.compile(
+    _TOKEN.pattern.replace(dsl._STRING_BODY, _ALTERNATION_BODY), _TOKEN.flags
+)
+
+
+def _lexed(text):
+    try:
+        return _lex(text)
+    except dsl._ParseError as exc:
+        return exc.diagnostic
+
+
+@given(st.text(st.sampled_from(["a", "\u00e9", " ", '"', "\\", "\n"]), max_size=12))
+@settings(max_examples=500)
+def test_unrolled_string_body_reads_as_the_alternation(text):
+    """The string body accepts the same strings, and the lexer gives the same
+    tokens or the same diagnostic, in either form."""
+    assert _ALTERNATION_TOKEN.pattern != _TOKEN.pattern
+    for subject in (text, f'"{text}"', f'"{text}'):
+        old = re.match(f'"({_ALTERNATION_BODY})"', subject)
+        new = re.match(dsl._QUOTED, subject)
+        assert (old and old.group()) == (new and new.group())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dsl, "_TOKEN", _ALTERNATION_TOKEN)
+        expected = _lexed(text)
+    assert _lexed(text) == expected
+
+
+def test_no_code_point_casefolds_to_nothing():
+    """So a name is blank after strip() and casefold() only if it is after strip()."""
+    assert all(chr(c).casefold() for c in range(sys.maxunicode + 1))
 
 
 def test_canonical_text_skips_the_token_parser(monkeypatch):
