@@ -68,10 +68,6 @@ class ClassResult:
     reason: str | None = None
 
     @property
-    def is_classified(self) -> bool:
-        return self.outcome is not None
-
-    @property
     def label(self) -> str:
         return self.outcome.value if self.outcome else "unclassified"
 

@@ -46,19 +46,19 @@ defaults omitted.  Parsing the canonical form reproduces the corpus
 exactly.  Canonical text, with blank and `#` comment lines between
 applications and with or without its final newline, is read by one regex
 match per block (`_read_canonical`, its patterns built from the field
-table).  It checks a count text only the first time a read meets it (1-63
-and "many" are known), unescapes an entity only if its block holds a
-backslash, and tests an application's entity names for blanks all at once.
+table).  It checks a count text only the first time a read meets it,
+unescapes an entity only if its block holds a backslash, and tests an
+application's entity names for blanks all at once.
 Any other text, and any with a finding, goes to the token parser
 (`_parse_tokens`), the only source of text diagnostics.  JSON, a one-object
 schema for interchange with other tooling, is read by `_JsonReader` alone,
 after one `json.loads`.  Each entity first gets one lean test, which holds
 only where the located read would record no finding: a plain object of known
 keys, a name that is not blank, a known role and tangibility, an integer
-count already read (or below 64) or "many", a string or no note, and no
-\\n, \\r or \\u escape in the text.  Such an entity is built at once; any
-other is read located, its location built then, so the checker and that read
-remain the only source of JSON diagnostics.  In either format a repeated key
+count already read or "many", a string or no note, and no \\n, \\r or \\u
+escape in the text.  Such an entity is built at once; any other is read
+located, its location built then, so the checker and that read remain the
+only source of JSON diagnostics.  In either format a repeated key
 keeps its last value and draws a warning.  `_read` is the one entry for a
 file, stdin or the bundled asset: it decodes UTF-8 bytes and reads text
 starting with "{" or "[" as JSON.
@@ -388,8 +388,8 @@ _CANONICAL_APPLICATION = re.compile(_GAP + _canonical(_APPLICATION, ""))
 _CANONICAL_ENTITY = re.compile(_canonical(_ENTITY, "  ") + "  \\}\n")
 _CANONICAL_END = re.compile(_GAP + r"(?:\#[^\n]*)?")
 _QUOTED_ITEM = re.compile(_QUOTED)
-# The Count of each count text a read starts with; a read adds each other text it meets.
-_COUNTS = {None: Count(1), "many": Count.MANY, **{str(n): Count(n) for n in range(1, 64)}}
+# The Count of each count text that int() refuses; a read adds each other text it meets.
+_COUNTS = {None: Count(1), "many": Count.MANY}
 _NAME = attrgetter("name")
 
 
@@ -479,12 +479,10 @@ def _quote(value: str) -> str:
     return '"' + value.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-# The writers' tables: each term's text, each entity's what: and how: lines, and
-# the count that serialize_corpus leaves out.
+# The writers' tables: each term's text, and each entity's what: and how: lines.
 _TERM_VALUES = {term: term.value for term in (*Role, *Tangibility)}
 _WHAT_LINES = {role: f"    what: {role.value}" for role in Role}
 _HOW_LINES = {tang: f"    how: {tang.value}" for tang in Tangibility}
-_ONE = Count(1)
 
 
 def serialize_corpus(corpus: Corpus) -> str:
@@ -505,7 +503,7 @@ def serialize_corpus(corpus: Corpus) -> str:
             lines.append(f"  entity {_quote(entity.name)} {{")
             lines.append(_WHAT_LINES[entity.role])
             lines.append(_HOW_LINES[entity.tangibility])
-            if entity.count != _ONE:
+            if entity.count.value != 1:
                 lines.append(f"    count: {entity.count}")
             if entity.note is not None:
                 lines.append(f"    note: {_quote(entity.note)}")
@@ -554,9 +552,9 @@ _INT_OR_NONE, _STR_OR_NONE = (int, type(None)), (str, type(None))  # an optional
 # break or a lone surrogate in a string, as json.loads refuses a raw line break
 # and _text a raw lone surrogate.
 _BREAK_ESCAPE = re.compile(r"\\[nru]").search
-# The Count of each JSON count a read starts with, so the lean test of _read_entity
-# holds from a corpus's first entity on; a read adds every other count it meets.
-_SMALL_COUNTS = {"many": Count.MANY, **{n: Count(n) for n in range(1, 64)}}
+# The Count of each JSON count a read starts with: "many", as the located read
+# builds Count(count) for any other.  A read adds every other count it meets.
+_JSON_COUNTS = {"many": Count.MANY}
 
 
 class _Repeats(dict):
@@ -579,7 +577,7 @@ class _JsonReader:
     def __init__(self, text: str) -> None:
         self.check = InvariantChecker()
         self._escaped = _BREAK_ESCAPE(text) is not None  # else one_line has nothing to find
-        self._counts = dict(_SMALL_COUNTS)  # and each count read so far, by its JSON value
+        self._counts = dict(_JSON_COUNTS)  # and each count read so far, by its JSON value
 
     def read(self, data: Any) -> Corpus:
         if not isinstance(data, dict):

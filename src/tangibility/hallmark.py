@@ -8,9 +8,9 @@ distance is defined on binary hallmarks and never exceeds 12.
 Both vector forms carry their positivity as a 12-bit int, ``mask``: bit i
 is set when component i (``TERMS[i]``) is positive.  Classification and
 Hamming distance work on the mask alone.  A hallmark reads its component
-values once, when it is built, and computes its mask and its hash from
-them then; equal hallmarks hash equal, but the hash value is not part of
-the API.
+values once, when it is built, and computes its mask from them then; it
+hashes those values, not its Counts.  Equal hallmarks hash equal, but the
+hash value is not part of the API.
 """
 
 from __future__ import annotations
@@ -66,22 +66,16 @@ class Hallmark:
             raise ValueError(
                 f"hallmark needs {COMPONENT_COUNT} components, got {len(self.components)}"
             )
-        # ``_values`` (each component's value, None for "many") and ``_hash``
-        # are plain instance attributes, not fields: ``repr``, ``fields`` and
-        # ``replace`` see only ``components`` and ``mask``.
+        # ``_values`` (each component's value, None for "many") is a plain
+        # instance attribute, not a field: ``repr``, ``fields`` and ``replace``
+        # see only ``components`` and ``mask``.
         values = tuple(map(_VALUE, self.components))
         object.__setattr__(self, "_values", values)
-        object.__setattr__(self, "_hash", hash(values))
         # A component is positive when its value is not 0; "many" (None) is.
         object.__setattr__(self, "mask", sum(compress(_BITS, map(ne, values, _ZEROS))))
 
     def __hash__(self) -> int:
-        return self._hash
-
-    def __reduce__(self) -> tuple:
-        # Pickled as its components alone, so a loading process hashes it
-        # afresh: before Python 3.12, hash(None) differs between processes.
-        return type(self), (self.components,)
+        return hash(self._values)
 
     @classmethod
     def of(cls, *values: Union[int, str, Count]) -> "Hallmark":
@@ -121,7 +115,7 @@ class BinaryHallmark:
             raise ValueError(
                 f"binary hallmark needs {COMPONENT_COUNT} bits, got {len(self.bits)}"
             )
-        if any(bit not in (0, 1) for bit in self.bits):
+        if not all(type(bit) is int and bit in (0, 1) for bit in self.bits):
             raise ValueError("binary hallmark bits must be 0 or 1")
         object.__setattr__(self, "mask", sum(1 << i for i, bit in enumerate(self.bits) if bit))
 

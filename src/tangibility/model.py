@@ -12,7 +12,7 @@ import enum
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, ClassVar, Iterable, Iterator
+from typing import TYPE_CHECKING, ClassVar, Iterable
 
 if TYPE_CHECKING:
     from .hallmark import Hallmark
@@ -91,10 +91,6 @@ class Count:
             if self.value < 0:
                 raise ValueError(f"exact count must be non-negative, got {self.value}")
 
-    @classmethod
-    def exact(cls, n: int) -> "Count":
-        return cls(n)
-
     def to_json(self) -> int | str:
         """The value as JSON and CSV carry it: the integer, or "many"."""
         return "many" if self.value is None else self.value
@@ -157,11 +153,6 @@ class Corpus:
             if app.id == app_id:
                 return app
         raise KeyError(app_id)
-
-    def iter_entities(self) -> Iterator[tuple[Application, Entity]]:
-        for app in self.applications:
-            for entity in app.entities:
-                yield app, entity
 
     @property
     def record_count(self) -> int:

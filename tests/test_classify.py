@@ -51,7 +51,6 @@ class TestClassify:
     def test_all_zero_unclassified(self):
         result = classify(Hallmark.zero())
         assert result.outcome is None
-        assert not result.is_classified
         assert result.label == "unclassified"
         assert result.reason == "no data, no bodied operation"
 

@@ -1121,6 +1121,19 @@ def _mutate(lines, kind, rng):
         at += 3 + lines[at + 3].startswith("    count: ")
         note = rng.choice(['    note: "a \\" b"', '    note: "a \\\\ b"'])
         lines[at : at + lines[at].startswith("    note: ")] = [note]
+    elif kind == "escape in an application header only":
+        start = pick("application ")
+        end = lines.index("}", start)
+        for at in range(start, end):  # no escape left in this application
+            lines[at] = re.sub(r'\\"', "'", re.sub(r"\\\\", "/", lines[at]))
+        headers = ("application ", "  genre: ", "  subgenre: ", "  refs: ")
+        at = rng.choice([i for i in range(start, end) if lines[i].startswith(headers)])
+        lines[at] = lines[at].replace('"', '"' + rng.choice(['\\"', "\\\\"]), 1)
+
+
+_NO_FINDING = (
+    "count 64 or 999 twice", "escape in a note only", "escape in an application header only"
+)
 
 
 @pytest.mark.parametrize(
@@ -1143,6 +1156,7 @@ def _mutate(lines, kind, rng):
         "leading zeros",
         "blank unicode name",
         "escape in a note only",
+        "escape in an application header only",
     ],
 )
 def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
@@ -1154,7 +1168,7 @@ def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
         _mutate(lines, kind, rng)
         text = "\n".join(lines) + ("" if kind == "no final newline" else "\n")
         assert parse_corpus(text) == _parse_tokens(text), (kind, seed)
-        if kind in ("count 64 or 999 twice", "escape in a note only"):  # no finding
+        if kind in _NO_FINDING:
             assert dsl._read_canonical(text) is not None, (kind, seed)
 
 

@@ -154,8 +154,9 @@ def test_wrong_arity_rejected():
         Hallmark.of(1, 2, 3)
     with pytest.raises(ValueError):
         BinaryHallmark((0,) * 11)
-    with pytest.raises(ValueError):
-        BinaryHallmark((0,) * 11 + (2,))
+    for bad in (2, True, False, 1.0, 0.0):
+        with pytest.raises(ValueError, match="binary hallmark bits must be 0 or 1"):
+            BinaryHallmark((0,) * 11 + (bad,))
 
 
 def test_of_takes_counts_ints_and_many_only():
