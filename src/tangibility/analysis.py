@@ -9,22 +9,18 @@ The distance matrix keeps one row per distinct key, computed in CPython's
 byte loops rather than per cell.  Each key component is one ``bytes``
 column across the applications; ``bytes.translate`` through a 256-byte
 table turns a column into its distances to one value, read as a big int and
-cached per column and value (at most columns * distinct values * lane bytes
-* n bytes), and a key's row is the sum of its components' ints, lane by lane.
-Hamming keys are the mask in two 1-byte lanes (low 8 bits, high 4; a lane
-sums to at most 12), kept as ``bytes``.  L1 keys are the twelve components
-in 2-byte lanes (the value, then a pad byte of 255 that the table maps to
-0; a lane sums to at most 12 * 254), kept as ``array('H')``, so they need
-every component below 255; otherwise the rows are summed pair by pair.
+cached per column and value (at most columns * distinct values * n bytes).
+A key's row, kept as ``bytes``, sums its components' ints, so no cell may
+exceed 255: Hamming keys are the mask's low 8 bits and high 4, and L1 keys
+the twelve components while their column maxima sum to at most 255.  Other
+L1 rows are int tuples, summed pair by pair.
 """
 
 from __future__ import annotations
 
 import enum
-import sys
-from array import array
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
 from operator import attrgetter, sub
@@ -57,9 +53,6 @@ __all__ = [
 
 CLASS_LABELS = ("I", "II", "III", "IV", "unclassified")
 
-# The pad byte of an L1 lane, so the L1 kernel needs every component below it.
-_PAD = 255
-
 
 class EmptyCorpusError(ValueError):
     """Raised by statistics that are undefined without entity records."""
@@ -90,7 +83,7 @@ class DistanceMatrix:
 
     metric: Metric
     ids: tuple[int, ...]
-    _distinct: tuple[Sequence[int], ...] = field(hash=False)  # an array is unhashable
+    _distinct: tuple[Sequence[int], ...]  # bytes, or int tuples on the pair-by-pair path
     _index: tuple[int, ...]
 
     @cached_property
@@ -210,14 +203,12 @@ def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
         keys = [(mark.mask & 0xFF, mark.mask >> 8) for _, mark in pairs]
     distinct = {key: i for i, key in enumerate(dict.fromkeys(keys))}
     index = tuple(map(distinct.__getitem__, keys))
-    if metric is Metric.HAMMING:
-        rows = _lane_rows(distinct, [bytes(c) for c in zip(*keys)], _xor_popcount_table)
-    elif max(map(max, distinct), default=0) < _PAD:
-        # A lane: the value in its low byte, the pad (mapped to 0) in its high one.
-        lanes = [array("H", [_PAD << 8 | x for x in c]).tobytes() for c in zip(*keys)]
-        rows = [array("H", row) for row in _lane_rows(distinct, lanes, _abs_diff_table)]
-    else:
+    # An L1 cell is at most the sum of its columns' maxima, which must fit one byte.
+    if metric is Metric.L1 and sum(map(max, zip(*distinct))) > 255:
         rows = _l1_rows(list(distinct), index)
+    else:
+        table = _abs_diff_table if metric is Metric.L1 else _xor_popcount_table
+        rows = _lane_rows(distinct, [bytes(c) for c in zip(*keys)], table)
     return DistanceMatrix(metric, tuple(app.id for app, _ in pairs), tuple(rows), index)
 
 
@@ -229,22 +220,19 @@ def _xor_popcount_table(v: int) -> bytes:
 
 @cache
 def _abs_diff_table(v: int) -> bytes:
-    """Maps byte x to |x − v|, and the pad byte to 0."""
-    return bytes(abs(x - v) for x in range(_PAD)) + b"\0"
+    """Maps byte x to |x − v|."""
+    return bytes(abs(x - v) for x in range(256))
 
 
 def _lane_rows(
     distinct: Collection[tuple[int, ...]], columns: list[bytes], table: Callable[[int], bytes]
 ) -> list[bytes]:
-    """Distance rows as lane sums (see the module docstring), one per distinct
-    key.  Column c holds one lane (native byte order) per application, whose
-    low byte is component c of its key; no lane's sum may outgrow the lane."""
-    order = sys.byteorder
+    """One row per distinct key; column c holds component c of every key."""
     sums = [
-        {v: int.from_bytes(c.translate(table(v)), order) for v in set(vals)}
+        {v: int.from_bytes(c.translate(table(v)), "big") for v in set(vals)}
         for c, vals in zip(columns, zip(*distinct))
     ]
-    return [sum(map(dict.__getitem__, sums, k)).to_bytes(len(columns[0]), order) for k in distinct]
+    return [sum(map(dict.__getitem__, sums, k)).to_bytes(len(columns[0]), "big") for k in distinct]
 
 
 def _l1_rows(keys: list[tuple[int, ...]], index: tuple[int, ...]) -> list[tuple[int, ...]]:

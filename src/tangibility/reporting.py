@@ -64,8 +64,8 @@ Table = Iterable[list[Any]]
 
 _TERM_NAMES = [term.name for term in TERMS]
 _json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
-# A Hamming distance as a byte whose hex reads "f0"-"f9" or "10"-"12": each "f" is a blank.
-_HAMMING_HEX = bytes([0xF0 | v for v in range(10)] + [0x10, 0x11, 0x12]).ljust(256, b"\0")
+# Distance v < 100 as a byte whose hex reads v's digits ("f" is a blank); 100 and up as "ee".
+_BCD = bytes.fromhex("".join(f"{v:f>2}" for v in range(100))).ljust(256, b"\xee")
 
 
 def _table_lines(
@@ -100,10 +100,13 @@ class _Padded(dict):
 
 def _matrix_cells(matrix: DistanceMatrix) -> list[str]:
     """Each distinct row's cells joined by commas, formatted once per row."""
-    if matrix.metric is Metric.HAMMING:
-        return [row.translate(_HAMMING_HEX).hex(",").replace("f", "") for row in matrix._distinct]
+    rows = matrix._distinct
+    if rows and isinstance(rows[0], bytes):  # BCD hex, unless a cell is 100 or more
+        cells = [row.translate(_BCD).hex(",").replace("f", "") for row in rows]
+        if not any("e" in row for row in cells):
+            return cells
     strings = _Padded(0)
-    return [",".join(map(strings.__getitem__, row)) for row in matrix._distinct]
+    return [",".join(map(strings.__getitem__, row)) for row in rows]
 
 
 def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
@@ -114,7 +117,8 @@ def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     """
     ids = [str(i) for i in matrix.ids]
     rows = matrix._distinct
-    widths = [max(len(i), len(str(max(rows[k])))) for i, k in zip(ids, matrix._index)]
+    widest = [len(str(max(row))) for row in rows]
+    widths = [max(len(i), widest[k]) for i, k in zip(ids, matrix._index)]
     padded = {width: _Padded(width + 2) for width in set(widths)}
     columns = [padded[width] for width in widths]
     cells = ["".join(map(dict.__getitem__, columns, row)) for row in rows]

@@ -331,7 +331,7 @@ class TestDistanceMatrix:
         assert matrix.ids == tuple(sorted(app.id for app in corpus.applications))
         _assert_cells(corpus, matrix)
 
-    # Small values repeat keys; 250-260 straddles the lanes' 255 limit.
+    # Small values repeat keys; 250-260 straddles a byte's 255 limit.
     @given(
         st.lists(
             st.lists(st.integers(0, 3) | st.integers(250, 260), min_size=12, max_size=12),
@@ -365,13 +365,21 @@ class TestDistanceMatrix:
         monkeypatch.setattr(analysis, "_l1_rows", counted)
         return calls
 
-    def test_l1_lanes_hold_components_of_254(self, fallback):
-        vectors = [[254] * 12, [0] * 12, [254, 0] * 6, [0, 254] * 6, [253, 1] * 6]
+    def test_l1_lanes_hold_column_maxima_summing_to_255(self, fallback):
+        # Column maxima 200 + 50 + 5 = 255, one distance of 255; one more is 256.
+        vectors = [[200, 50, 5] + [0] * 9, [0] * 12, [100, 0, 5] + [0] * 9, [0, 50, 1] + [0] * 9]
         corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
         matrix = distance_matrix(corpus, Metric.L1)
-        assert matrix.rows[0][1] == 12 * 254
+        assert max(map(max, matrix.rows)) == matrix.rows[0][1] == 255
+        assert isinstance(matrix._distinct[0], bytes)
         _assert_cells(corpus, matrix)
         assert fallback == []
+        vectors[1][11] = 1
+        corpus = Corpus(tuple(_vector_app(i + 1, v) for i, v in enumerate(vectors)))
+        matrix = distance_matrix(corpus, Metric.L1)
+        assert matrix.rows[0][1] == 256
+        _assert_cells(corpus, matrix)
+        assert fallback == [4]
 
     @pytest.mark.parametrize(
         "big", [255, 10**3999 + 7], ids=["255", "4000 digits"]

@@ -344,13 +344,21 @@ class TestMatrixFormats:
     def test_no_and_one_application(self, metric, size):
         self._check(_vector_corpus({9: _bits(0x0F0)} if size else {}), metric)
 
-    @pytest.mark.parametrize("big", [3, 254, 70_000], ids=["lanes", "widest lane", "pairwise"])
+    @pytest.mark.parametrize(
+        "big",
+        [3, 7, 96, 97, 252, 253, 70_000],
+        ids=["lanes", "9 and 10", "98 and 99", "99 and 100", "sum 255", "sum 256", "pairwise"],
+    )
     def test_l1_on_both_paths(self, big):
-        vectors = {i: (big * (i % 2), i % 7) + (big // 2,) * 10 for i in (1, 2, 9, 10, 99, 100)}
+        # The column maxima sum to big + 3, the largest distance, and big + 2 occurs
+        # too.  Bytes below 100 are formatted as BCD hex, any from 100 up by value.
+        vectors = {i: (big * (i % 2), i % 4) + (0,) * 10 for i in (1, 2, 9, 10, 99, 100)}
         vectors[1000] = vectors[2]
+        vectors[1001] = (big, 2) + (0,) * 10
         matrix, _ = self._check(_vector_corpus(vectors), Metric.L1)
-        assert isinstance(matrix._distinct[0], tuple) is (big > 254)
-        assert max(map(max, matrix.rows)) == big + 2
+        assert isinstance(matrix._distinct[0], tuple) is (big + 3 > 255)
+        assert max(map(max, matrix.rows)) == big + 3
+        assert big + 2 in matrix.rows[-1]
 
     @given(
         st.dictionaries(

@@ -14,7 +14,7 @@ ingest commands run too: validate, and export as text and as JSON.
   ``snapshots/digests.json``.
 - Three larger seeded corpora pin the analyze cases alone, in the same
   file: 1,000 applications with "many" (L1 refused), 1,000 without (the
-  L1 lane kernel), and 300 where one term sums to 255 (L1 pair by pair).
+  L1 byte kernel), and 300 where one term sums to 255 (L1 pair by pair).
 - One hand-built corpus whose printed labels collide on purpose pins every
   case, in the same file: application names equal to a genre, a class node
   or ``(none)``, a genre equal to its subgenre, genres and subgenres named
