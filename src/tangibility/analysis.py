@@ -19,7 +19,7 @@ L1 rows are int tuples, summed pair by pair.
 from __future__ import annotations
 
 import enum
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import chain
@@ -257,9 +257,9 @@ def cross_tab(corpus: Corpus, key: str) -> CrossTab:
         raise ValueError(f"key must be 'genre' or 'subgenre', got {key!r}")
     pairs = _by_id(corpus)
     classes = tuple(classify(mark).label for _, mark in pairs)
-    grouped: dict[str | None, dict[str, list[int]]] = {}
+    grouped = defaultdict(lambda: {c: [] for c in CLASS_LABELS})  # key value -> class -> ids
     for (app, _), label in zip(pairs, classes):
-        grouped.setdefault(getattr(app, key), {c: [] for c in CLASS_LABELS})[label].append(app.id)
+        grouped[getattr(app, key)][label].append(app.id)
     rows = tuple(
         CrossTabRow(value, {c: tuple(ids) for c, ids in grouped[value].items()})
         for value in sorted(grouped, key=lambda v: (v is None, v or ""))

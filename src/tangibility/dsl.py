@@ -54,8 +54,8 @@ Any other text, and any with a finding, goes to the token parser
 schema for interchange with other tooling, is read by `_JsonReader` alone,
 after one `json.loads`.  Each entity first gets one lean test, which holds
 only where the located read would record no finding: a plain object of known
-keys, a name that is not blank, a known role and tangibility, an integer
-count already read or "many", a string or no note, and no \\n, \\r or \\u
+keys, a name that is not blank, a known role and tangibility, a positive
+integer count or "many", a string or no note, and no \\n, \\r or \\u
 escape in the text.  Such an entity is built at once; any other is read
 located, its location built then, so the checker and that read remain the
 only source of JSON diagnostics.  In either format a repeated key
@@ -74,6 +74,7 @@ from operator import attrgetter
 from typing import Any, NamedTuple
 
 from .model import (
+    _COUNTS,
     Application,
     Corpus,
     Count,
@@ -283,7 +284,7 @@ class _Parser:
         role, tangibility = values.get("what"), values.get("how")
         if role is None or tangibility is None:
             return None
-        return Entity(name, role, tangibility, values.get("count", Count(1)), values.get("note"))
+        return Entity(name, role, tangibility, values.get("count", _COUNTS[1]), values.get("note"))
 
     def _block(self, block: _Block, where: str) -> dict[str, Any]:
         """Read ``{ key: value ... }``: each known key's value (the last one of a duplicate),
@@ -332,7 +333,7 @@ class _Parser:
         token = self._advance()
         if token.kind is _TokenKind.INTEGER:
             self.check.count(where, token.value, token.span)
-            return Count(token.value)
+            return _COUNTS[token.value]
         if token.kind is _TokenKind.IDENT and token.value == "many":
             return Count.MANY
         message = f"expected an integer or 'many' as the {key}, found {token.describe()}"
@@ -388,8 +389,6 @@ _CANONICAL_APPLICATION = re.compile(_GAP + _canonical(_APPLICATION, ""))
 _CANONICAL_ENTITY = re.compile(_canonical(_ENTITY, "  ") + "  \\}\n")
 _CANONICAL_END = re.compile(_GAP + r"(?:\#[^\n]*)?")
 _QUOTED_ITEM = re.compile(_QUOTED)
-# The Count of each count text that int() refuses; a read adds each other text it meets.
-_COUNTS = {None: Count(1), "many": Count.MANY}
 _NAME = attrgetter("name")
 
 
@@ -398,7 +397,8 @@ def _read_canonical(text: str) -> tuple[Corpus, list[Diagnostic]] | None:
     are the token parser's, unlocated, or leaner tests that return None where one
     would record a finding: on a finding the token parser reads the text again."""
     check, where, applications, pos = InvariantChecker(), "", [], 0
-    counts = dict(_COUNTS)  # so a count text is checked and built once per read
+    # Each count text's Count, so a read checks a text once: no count, "many", then each met.
+    counts = {None: _COUNTS[1], "many": _COUNTS["many"]}
     try:
         while (match := _CANONICAL_APPLICATION.match(text, pos)) is not None:
             name, app_id, year, genre, subgenre, refs = match.groups()
@@ -410,7 +410,7 @@ def _read_canonical(text: str) -> tuple[Corpus, list[Diagnostic]] | None:
                     entity, note = _unescape(entity), _unescape(note)
                 if count not in counts:
                     check.count(where, value := int(count))
-                    counts[count] = Count(value)
+                    counts[count] = _COUNTS[value]
                 role, tangibility = _ROLES[what], _TANGIBILITIES[how]
                 entities.append(Entity(entity, role, tangibility, counts[count], note))
                 pos = end
@@ -552,9 +552,6 @@ _INT_OR_NONE, _STR_OR_NONE = (int, type(None)), (str, type(None))  # an optional
 # break or a lone surrogate in a string, as json.loads refuses a raw line break
 # and _text a raw lone surrogate.
 _BREAK_ESCAPE = re.compile(r"\\[nru]").search
-# The Count of each JSON count a read starts with: "many", as the located read
-# builds Count(count) for any other.  A read adds every other count it meets.
-_JSON_COUNTS = {"many": Count.MANY}
 
 
 class _Repeats(dict):
@@ -577,7 +574,6 @@ class _JsonReader:
     def __init__(self, text: str) -> None:
         self.check = InvariantChecker()
         self._escaped = _BREAK_ESCAPE(text) is not None  # else one_line has nothing to find
-        self._counts = dict(_JSON_COUNTS)  # and each count read so far, by its JSON value
 
     def read(self, data: Any) -> Corpus:
         if not isinstance(data, dict):
@@ -667,11 +663,10 @@ class _JsonReader:
             and type(name := node.get("name")) is str and name.strip()
             and type(what := node.get("what")) is str and what in _ROLES
             and type(how := node.get("how")) is str and how in _TANGIBILITIES
-            and (type(count := node.get("count", 1)) is int or count == "many")
-            and count in self._counts
+            and (type(count := node.get("count", 1)) is int and count > 0 or count == "many")
             and type(note := node.get("note")) in _STR_OR_NONE
         ):
-            return Entity(name, _ROLES[what], _TANGIBILITIES[how], self._counts[count], note)
+            return Entity(name, _ROLES[what], _TANGIBILITIES[how], _COUNTS[count], note)
         ctx = f"{ctx}.entities[{index}]"
         if not self._object(node, ctx, _ENTITY_KEYS):
             return None
@@ -699,9 +694,7 @@ class _JsonReader:
             check.one_line(ctx, "note", note)
         if check.errors > errors:  # so Count is never built of a count that is not positive
             return None
-        if count not in self._counts:
-            self._counts[count] = Count(count)
-        return Entity(name, role, tangibility, self._counts[count], note)
+        return Entity(name, role, tangibility, _COUNTS[count], note)
 
 
 def import_json(text: str) -> tuple[Corpus, list[Diagnostic]]:

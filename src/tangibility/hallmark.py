@@ -9,8 +9,9 @@ Both vector forms carry their positivity as a 12-bit int, ``mask``: bit i
 is set when component i (``TERMS[i]``) is positive.  Classification and
 Hamming distance work on the mask alone.  A hallmark reads its component
 values once, when it is built, and computes its mask from them then; it
-hashes those values, not its Counts.  Equal hallmarks hash equal, but the
-hash value is not part of the API.
+hashes and prints those values, not its Counts.  Equal hallmarks hash equal,
+but the hash value is not part of the API.  `compute_hallmark` takes its
+Counts from the shared table `model._COUNTS`: one object per value 0–63 and "many".
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from itertools import compress
 from operator import attrgetter, ne, sub
 from typing import Union
 
-from .model import Application, Count, is_integer
+from .model import _COUNTS, Application, Count, is_integer
 from .terms import TERMS, Term
 
 __all__ = [
@@ -47,10 +48,8 @@ class SymbolicCountError(ValueError):
 def _as_count(value: Union[int, str, Count]) -> Count:
     if isinstance(value, Count):
         return value
-    if value == "many":
-        return Count.MANY
-    if is_integer(value):
-        return Count(value)
+    if value == "many" or is_integer(value):
+        return _COUNTS[value]
     raise TypeError(f"component must be an int, 'many', or Count, got {value!r}")
 
 
@@ -84,7 +83,7 @@ class Hallmark:
 
     @classmethod
     def zero(cls) -> "Hallmark":
-        return cls((_SMALL[0],) * COMPONENT_COUNT)
+        return cls((_COUNTS[0],) * COMPONENT_COUNT)
 
     def component(self, term: Term) -> Count:
         return self.components[term.index]
@@ -95,11 +94,10 @@ class Hallmark:
 
     def to_json(self) -> list[int | str]:
         """Components as JSON and CSV carry them: integers, or "many"."""
-        return [c.to_json() for c in self.components]
+        return ["many" if v is None else v for v in self._values]
 
     def __str__(self) -> str:
-        cells = ("N" if c.is_many else str(c.value) for c in self.components)
-        return "(" + ", ".join(cells) + ")"
+        return "(" + ", ".join("N" if v is None else str(v) for v in self._values) + ")"
 
 
 @dataclass(frozen=True)
@@ -126,9 +124,6 @@ class BinaryHallmark:
         return "(" + ", ".join(str(bit) for bit in self.bits) + ")"
 
 
-# Counts are immutable, so hallmarks share these instead of making their own.
-_SMALL = tuple(Count(n) for n in range(64))
-
 _INDEX = {(term.role, term.tangibility): term.index for term in TERMS}
 
 
@@ -137,23 +132,14 @@ def compute_hallmark(app: Application) -> Hallmark:
 
     Summing absorbs "many": any term with a many-counted entity gets "many".
     """
-    totals = [0] * COMPONENT_COUNT
-    many = 0
+    totals: list[int | None] = [0] * COMPONENT_COUNT
     for entity in app.entities:
         index = _INDEX[entity.role, entity.tangibility]
-        value = entity.count.value
-        if value is None:
-            many |= 1 << index
-        else:
-            totals[index] += value
-    if not many and max(totals) < len(_SMALL):
-        return Hallmark(tuple(map(_SMALL.__getitem__, totals)))
-    return Hallmark(
-        tuple(
-            Count.MANY if many >> i & 1 else _SMALL[n] if n < len(_SMALL) else Count(n)
-            for i, n in enumerate(totals)
-        )
-    )
+        try:
+            totals[index] += entity.count.value
+        except TypeError:  # "many" (None) on either side: it absorbs the sum
+            totals[index] = None
+    return Hallmark(tuple(map(_COUNTS.__getitem__, totals)))
 
 
 def binarize(hallmark: Hallmark) -> BinaryHallmark:

@@ -117,6 +117,18 @@ class Count:
 Count.MANY = Count(None)
 
 
+class _SharedCounts(dict):
+    """The one Count of each value 0–63 and of "many" (under None and "many"), for
+    every reader and hallmark.  Any other value's is made anew and not kept, so the
+    table never grows.  True and 1.0 find Count(1): callers test types first."""
+
+    def __missing__(self, value: int) -> Count:
+        return Count(value)
+
+
+_COUNTS = _SharedCounts({None: Count.MANY, "many": Count.MANY, **{n: Count(n) for n in range(64)}})
+
+
 @dataclass(frozen=True)
 class Entity:
     """One annotated constituent of an application."""
@@ -124,7 +136,7 @@ class Entity:
     name: str
     role: Role
     tangibility: Tangibility
-    count: Count = Count(1)
+    count: Count = _COUNTS[1]
     note: str | None = None
 
 

@@ -17,9 +17,12 @@ from corpusgen import JSON_ESCAPES, JSON_MUTATIONS, clean_corpus, random_corpus
 from tangibility import (
     Corpus,
     Count,
+    Entity,
+    Hallmark,
     Role,
     Severity,
     Tangibility,
+    compute_hallmark,
     export_json,
     import_json,
     load_golden,
@@ -29,7 +32,7 @@ from tangibility import (
 from tangibility import dsl
 from tangibility.dsl import _TOKEN, _lex, _parse_tokens
 from tangibility.golden import GOLDEN_RESOURCE
-from tangibility.model import Diagnostic, InvariantChecker, SourceSpan
+from tangibility.model import _COUNTS, Diagnostic, InvariantChecker, SourceSpan
 from test_snapshots import (
     DIGESTS,
     ENTITY_GRID_DIGEST,
@@ -1292,3 +1295,41 @@ def test_json_is_read_in_one_pass(monkeypatch):
     for field, warning in warnings.items():
         text = golden_json[:last] + field + golden_json[last:]
         assert read(text) == (golden, [W(f"{where}: {warning}")])
+
+
+def test_every_reader_and_hallmark_takes_the_shared_counts():
+    """Each Count of 0–63 or "many" that a reader or a hallmark makes is the shared
+    table's object: the canonical reader, the token parser, the JSON reader's lean
+    and located reads, Entity's default, Hallmark.of and compute_hallmark."""
+    counts = ("", "2", "63", "64", "1000", "many")  # "": no count line, so 1
+    text = 'application "Å" {\n  id: 1\n' + "".join(
+        f'  entity "e{i}" {{\n    what: datum\n    how: tangible\n'
+        + (f"    count: {count}\n" if count else "")
+        + "  }\n"
+        for i, count in enumerate(counts)
+    ) + "}\n"
+
+    def shared(corpus):
+        entities = corpus.applications[0].entities
+        assert [str(e.count) for e in entities] == ["1", "2", "63", "64", "1000", "many"]
+        mark = compute_hallmark(corpus.applications[0])
+        for count in (*(e.count for e in entities), *mark.components):
+            assert count.value is not None and count.value >= 64 or count is _COUNTS[count.value]
+        return corpus
+
+    canonical = shared(dsl._read_canonical(text)[0])
+    tokens = text.replace("  ", "\t")  # not canonical
+    assert dsl._read_canonical(tokens) is None
+    assert shared(_parse_tokens(tokens)[0]) == canonical
+    exported = export_json(canonical)
+    assert "\\u" not in exported and '"color"' not in exported
+    assert shared(import_json(exported)[0]) == canonical  # the lean read
+    # An escape, or an unknown key in each entity, sends every entity to the located read.
+    assert shared(import_json(json.dumps(json.loads(exported)))[0]) == canonical
+    colored = import_json(exported.replace('{"name":"e', '{"color":"red","name":"e'))
+    assert len(colored[1]) == len(counts)
+    assert shared(colored[0]) == canonical
+    assert Entity("e", Role.DATUM, Tangibility.TANGIBLE).count is _COUNTS[1]
+    for value in (0, 1, 63, "many"):
+        components = Hallmark.of(value, *[0] * 11).components
+        assert components[0] is _COUNTS[value] and components[1] is _COUNTS[0]

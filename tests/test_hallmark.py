@@ -26,10 +26,11 @@ from tangibility import (
     binarize,
     compute_hallmark,
     hamming_distance,
+    all_terms,
     l1_distance,
     parse_term,
 )
-from tangibility.hallmark import _SMALL
+from tangibility.model import _COUNTS
 
 
 def _entity(term_name: str, count: Count = Count(1)) -> Entity:
@@ -72,14 +73,39 @@ def test_small_totals_share_counts():
         for extra in ((), (_entity("opible", Count.MANY),)):
             mark = compute_hallmark(_app(_entity("datible", Count(n)), *extra))
             assert mark == Hallmark.of(n, 0, 0, 0, 0, 0, "many" if extra else 0, *[0] * 5)
-            if n < len(_SMALL):
-                assert mark.component(parse_term("datible")) is _SMALL[n]
+            if n < 64:
+                assert mark.component(parse_term("datible")) is _COUNTS[n]
 
 
 def test_many_absorbs_in_sums():
     mark = compute_hallmark(_app(_entity("opible", Count.MANY), _entity("opible")))
     assert mark.component(parse_term("opible")) == Count.MANY
     assert mark.has_many
+
+
+@given(seeds)
+def test_sum_is_the_fold_of_counts(seed):
+    """compute_hallmark sums each term as Count.__add__ folds it: "many" before
+    and after exact counts, totals across 63/64, and no entities at all."""
+    rng = random.Random(seed)
+    many, one = Count.MANY, Count(1)
+    cases = [[], [many, one], [one, many], [Count(63), one], [Count(32), Count(32), many]]
+    cases = [[("opible", count) for count in counts] for counts in cases]
+    names = [term.name for term in all_terms()]
+    for n in (rng.randint(1, 8), rng.randint(8, 60)):
+        # Few terms, so that totals reach 64 and "many" meets exact counts.
+        terms = rng.sample(names, rng.randint(1, 4))
+        counts = (many if rng.random() < 0.05 else Count(rng.randint(1, 20)) for _ in range(n))
+        cases.append([(rng.choice(terms), count) for count in counts])
+    for case in cases:
+        expected = [Count(0)] * 12
+        for name, count in case:
+            index = parse_term(name).index
+            expected[index] = expected[index] + count
+        mark = compute_hallmark(_app(*(_entity(name, count) for name, count in case)))
+        assert mark.components == tuple(expected)
+        for count in mark.components:
+            assert count.value is not None and count.value >= 64 or count is _COUNTS[count.value]
 
 
 def test_empty_application_is_zero():
@@ -89,7 +115,8 @@ def test_empty_application_is_zero():
 
 def test_every_mask_from_shared_and_fresh_counts():
     """All 4,096 positivity masks, each built once from the shared Counts and
-    once from fresh ones: the same mask, "many" flag, equality and hash."""
+    once from fresh ones: the same mask, "many" flag, equality and hash, and the
+    JSON and text forms that each Count gives."""
     cycle = (1, 63, 64, 1000, None)
     marks = set()
     for mask in range(1 << 12):
@@ -99,7 +126,7 @@ def test_every_mask_from_shared_and_fresh_counts():
             values[i] = cycle[(k + mask) % len(cycle)]
         shared = Hallmark(
             tuple(
-                Count.MANY if v is None else _SMALL[v] if v < len(_SMALL) else Count(v)
+                Count.MANY if v is None else _COUNTS[v] if v < 64 else Count(v)
                 for v in values
             )
         )
@@ -109,6 +136,9 @@ def test_every_mask_from_shared_and_fresh_counts():
             assert mark.mask == sum(1 << i for i, c in enumerate(components) if c.is_positive)
             assert mark.mask == mask
             assert mark.has_many == any(c.is_many for c in components)
+            assert mark.to_json() == [c.to_json() for c in components]
+            cells = ("N" if c.is_many else str(c.value) for c in components)
+            assert str(mark) == "(" + ", ".join(cells) + ")"
         assert shared == fresh
         assert hash(shared) == hash(fresh)
         assert len({shared, fresh}) == 1
