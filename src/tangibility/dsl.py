@@ -43,14 +43,12 @@ for the application to close.
 `serialize_corpus` writes the canonical form shown above: two-space
 indentation, fields in the order id, year, genre, subgenre, refs, entities,
 defaults omitted.  Parsing the canonical form reproduces the corpus
-exactly.  Canonical text, with blank and `#` comment lines between
-applications and with or without its final newline, is read by one regex
-match per block (`_read_canonical`, its patterns built from the field
-table).  It checks a count text only the first time a read meets it,
-unescapes an entity only if its block holds a backslash, and tests an
-application's entity names for blanks all at once.
-Any other text, and any with a finding, goes to the token parser
-(`_parse_tokens`), the only source of text diagnostics.  JSON, a one-object
+exactly.  Text is read once: its leading canonical applications in which no
+finding falls, with blank and `#` comment lines between them, are read by
+one regex match per block (`_read_canonical`, its patterns built from the
+field table), and the token parser (`_parse_tokens`), the only source of
+text diagnostics, reads on from the first other block with the ids and
+names read so far.  JSON, a one-object
 schema for interchange with other tooling, is read by `_JsonReader` alone,
 after one `json.loads`.  Each entity first gets one lean test, which holds
 only where the located read would record no finding: a plain object of known
@@ -71,7 +69,7 @@ import json
 import re
 import sys
 from operator import attrgetter
-from typing import Any, NamedTuple
+from typing import Any, Iterable, NamedTuple
 
 from .model import (
     _COUNTS,
@@ -184,10 +182,10 @@ def _unescape(body: str | None) -> str | None:
     return _ESCAPE.sub(r"\1", body) if body and "\\" in body else body
 
 
-def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, line_start = 1, 0
-    for match in _TOKEN.finditer(text):
+def _lex(text: str, start: int = 0) -> list[_Token]:
+    tokens: list[_Token] = []  # from ``start`` on, placed as in a lex of the whole text
+    line, line_start = text.count("\n", 0, start) + 1, text.rfind("\n", 0, start) + 1
+    for match in _TOKEN.finditer(text, start):
         kind, raw = match.lastgroup, match.group()
         if kind == "NEWLINE":
             line, line_start = line + 1, match.end()
@@ -221,10 +219,10 @@ def _too_long() -> str:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
+    def __init__(self, tokens: list[_Token], check: InvariantChecker):
         self._tokens = tokens
         self._pos = 0
-        self.check = InvariantChecker()
+        self.check = check
 
     def _peek(self) -> _Token:
         return self._tokens[self._pos]
@@ -246,8 +244,8 @@ class _Parser:
             )
         return self._advance()
 
-    def parse(self) -> Corpus:
-        applications: list[Application | None] = []
+    def parse(self, read: Iterable[Application]) -> Corpus:
+        applications: list[Application | None] = list(read)
         while self._peek().kind is not _TokenKind.EOF:
             token = self._advance()
             if token.kind is not _TokenKind.IDENT or token.value != "application":
@@ -368,9 +366,11 @@ class _Parser:
 
 
 # The canonical reader's patterns; blank and comment lines may come between applications.
+# At most 18 digits: no integer or count total meets the digit limit (0 or at least 640).
 _QUOTED = f'"({_STRING_BODY})"'
 _QUOTED_LIST = f'\\[("{_STRING_BODY}"(?:, "{_STRING_BODY}")*)\\]'
-_VALUE_PATTERNS = {int: "([0-9]+)", str: _QUOTED, "_refs": _QUOTED_LIST, "_count": "([0-9]+|many)"}
+_COUNT_TEXT = "([1-9][0-9]{0,17}|many)"
+_VALUE_PATTERNS = {int: "([0-9]{1,18})", str: _QUOTED, "_refs": _QUOTED_LIST, "_count": _COUNT_TEXT}
 _GAP = r"(?:\#[^\n]*\n|\n)*"
 
 
@@ -387,48 +387,44 @@ def _canonical(block: _Block, indent: str) -> str:
 
 _CANONICAL_APPLICATION = re.compile(_GAP + _canonical(_APPLICATION, ""))
 _CANONICAL_ENTITY = re.compile(_canonical(_ENTITY, "  ") + "  \\}\n")
-_CANONICAL_END = re.compile(_GAP + r"(?:\#[^\n]*)?")
 _QUOTED_ITEM = re.compile(_QUOTED)
 _NAME = attrgetter("name")
 
 
-def _read_canonical(text: str) -> tuple[Corpus, list[Diagnostic]] | None:
-    """``text`` read if it is canonical and has no finding, else None.  The checks
-    are the token parser's, unlocated, or leaner tests that return None where one
-    would record a finding: on a finding the token parser reads the text again."""
-    check, where, applications, pos = InvariantChecker(), "", [], 0
-    # Each count text's Count, so a read checks a text once: no count, "many", then each met.
+def _read_canonical(text: str) -> tuple[list[Application], int, InvariantChecker]:
+    """The leading canonical applications of ``text`` in which the token parser would
+    record no finding; the offset after them, a line start; and a checker whose
+    sets of seen ids and names, the one record of them, hold theirs."""
+    check, applications, pos = InvariantChecker(), [], 0
+    ids, names = check._ids, check._names
+    # Each count text's Count, so a read converts a text once: no count, "many", then each met.
     counts = {None: _COUNTS[1], "many": _COUNTS["many"]}
-    try:
-        while (match := _CANONICAL_APPLICATION.match(text, pos)) is not None:
-            name, app_id, year, genre, subgenre, refs = match.groups()
-            check.app_id(where, app_id := int(app_id))
-            entities, pos = [], match.end()
-            while (match := _CANONICAL_ENTITY.match(text, pos)) is not None:
-                entity, what, how, count, note = match.groups()
-                if text.find("\\", pos, end := match.end()) >= 0:
-                    entity, note = _unescape(entity), _unescape(note)
-                if count not in counts:
-                    check.count(where, value := int(count))
-                    counts[count] = _COUNTS[value]
-                role, tangibility = _ROLES[what], _TANGIBILITIES[how]
-                entities.append(Entity(entity, role, tangibility, counts[count], note))
-                pos = end
-            # check.name's test: no code point casefolds to "", so only a blank name fails.
-            if not text.startswith("}\n", pos) or not all(map(str.strip, map(_NAME, entities))):
-                return None
-            pos += 2
-            check.name(where, name := _unescape(name), unique=True)
-            check.entity_records(where, len(entities))
-            check.count_total(where, entities)
-            refs = tuple(map(_unescape, _QUOTED_ITEM.findall(refs or "")))
-            fields = year and int(year), _unescape(genre), _unescape(subgenre), refs
-            applications.append(Application(app_id, name, *fields, tuple(entities)))
-    except ValueError:  # more digits than sys.get_int_max_str_digits()
-        return None
-    if check.findings or _CANONICAL_END.fullmatch(text, pos) is None:
-        return None
-    return Corpus(tuple(applications)), []
+    while (match := _CANONICAL_APPLICATION.match(text, pos)) is not None:
+        name, app_id, year, genre, subgenre, refs = match.groups()
+        entities, end = [], match.end()
+        while (match := _CANONICAL_ENTITY.match(text, end)) is not None:
+            entity, what, how, count, note = match.groups()
+            if text.find("\\", end, stop := match.end()) >= 0:
+                entity, note = _unescape(entity), _unescape(note)
+            if count not in counts:
+                counts[count] = _COUNTS[int(count)]
+            entities.append(Entity(entity, _ROLES[what], _TANGIBILITIES[how], counts[count], note))
+            end = stop
+        name, app_id = _unescape(name), int(app_id)
+        folded = name.strip().casefold()
+        # The token parser's findings; as no code point casefolds to "", strip() tests entity names.
+        if (
+            not entities or app_id == 0 or app_id in ids or not folded or folded in names
+            or not text.startswith("}\n", end) or not all(map(str.strip, map(_NAME, entities)))
+        ):
+            break
+        ids.add(app_id)
+        names.add(folded)
+        refs = tuple(map(_unescape, _QUOTED_ITEM.findall(refs or "")))
+        fields = year and int(year), _unescape(genre), _unescape(subgenre), refs
+        applications.append(Application(app_id, name, *fields, tuple(entities)))
+        pos = end + 2
+    return applications, pos, check
 
 
 def _text(text: str) -> str:
@@ -459,15 +455,18 @@ def parse_corpus(text: str) -> tuple[Corpus, list[Diagnostic]]:
         text = _text(text)
     except _ParseError as exc:
         return Corpus(), [exc.diagnostic]
-    # The token parser reads a text with and without its final newline alike.
-    return _read_canonical(text + "\n") or _parse_tokens(text)
+    # The token parser reads on where the canonical reader stops, with or without a final newline.
+    return _parse_tokens(text, *_read_canonical(text + "\n"))
 
 
-def _parse_tokens(text: str) -> tuple[Corpus, list[Diagnostic]]:
-    """Read any text, and report every finding at its location."""
+def _parse_tokens(
+    text: str, read: Iterable[Application] = (), start: int = 0,
+    check: InvariantChecker | None = None,
+) -> tuple[Corpus, list[Diagnostic]]:
+    """Read any text from the line start ``start`` on, after ``read``; locate every finding."""
     try:
-        parser = _Parser(_lex(text))
-        corpus = parser.parse()
+        parser = _Parser(_lex(text, start), check or InvariantChecker())
+        corpus = parser.parse(read)
     except _ParseError as exc:
         return Corpus(), [exc.diagnostic]
     return _all_or_nothing(corpus, parser.check)

@@ -222,13 +222,14 @@ class InvariantChecker:
     """The one home of every corpus invariant and of its message.
 
     Feed it the applications of one corpus in order: it remembers the ids
-    and case-folded names seen so far.  ``where`` is the location the caller
-    knows, such as ``application 3``, ``applications[3].entities[0]`` or
-    ``entity 'e'``; ``span`` is the source position when there is one.  A
-    value of the wrong type (a missing or mistyped field, which the reader
-    reports itself) is not checked.  Readers add their own syntax and type
-    findings through ``error`` and ``warning``, so ``findings`` keeps one
-    order, and ``errors`` counts the errors so far.
+    and case-folded names seen so far (``_ids``, ``_names``; the canonical
+    text reader tests and fills them for applications without a finding).
+    ``where`` is the location the caller knows, such as ``application 3``,
+    ``applications[3].entities[0]`` or ``entity 'e'``; ``span`` is the source
+    position when there is one.  A value of the wrong type (a missing or
+    mistyped field, which the reader reports itself) is not checked.  Readers
+    add their own syntax and type findings through ``error`` and ``warning``,
+    so ``findings`` keeps one order, and ``errors`` counts the errors so far.
     """
 
     def __init__(self) -> None:

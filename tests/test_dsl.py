@@ -1056,15 +1056,20 @@ def _canonical_text(seed):
 
 @given(
     st.integers(0, 2**32),
-    st.sampled_from([None, "  id", "    count"]),
-    st.sampled_from([_LIMIT, _LIMIT + 1]),
+    st.sampled_from([None, "  id", "  year", "    count"]),
+    st.sampled_from([18, 19, 640, 641, _LIMIT, _LIMIT + 1]),
+    st.sampled_from([_LIMIT, 640]),
 )
 @settings(max_examples=200)
-def test_canonical_text_reads_as_the_token_parser_reads_it(seed, key, digits):
+def test_canonical_text_reads_as_the_token_parser_reads_it(seed, key, digits, limit):
     text = _canonical_text(seed)
     if key is not None:
         text = re.sub(f"(?m)^{key}: [0-9]+$", f"{key}: {'7' * digits}", text, count=1)
-    assert parse_corpus(text) == _parse_tokens(text)
+    sys.set_int_max_str_digits(limit)
+    try:
+        assert parse_corpus(text) == _parse_tokens(text)
+    finally:
+        sys.set_int_max_str_digits(_LIMIT)
 
 
 def _mutate(lines, kind, rng):
@@ -1171,8 +1176,75 @@ def test_mutated_canonical_text_reads_as_the_token_parser_reads_it(kind):
         _mutate(lines, kind, rng)
         text = "\n".join(lines) + ("" if kind == "no final newline" else "\n")
         assert parse_corpus(text) == _parse_tokens(text), (kind, seed)
-        if kind in _NO_FINDING:
-            assert dsl._read_canonical(text) is not None, (kind, seed)
+        if kind in _NO_FINDING:  # the canonical reader reads every application
+            read = parse_corpus(text)[0].applications
+            assert dsl._read_canonical(text)[0] == list(read), (kind, seed)
+
+
+@pytest.mark.parametrize("place", ["first", "middle", "last", "two"])
+@pytest.mark.parametrize(
+    "kind",
+    [
+        "delete",
+        "duplicate",
+        "swap",
+        "id 0",
+        "count 0",
+        "empty name",
+        "no entities",
+        "unknown key",
+        "comment in a block",
+        "trailing blanks",
+        "empty refs",
+        "leading zeros",
+        "blank unicode name",
+        "escape in an application header only",
+    ],
+)
+def test_edits_in_chosen_applications_read_as_the_token_parser_reads_them(kind, place):
+    """The canonical reader stops at the first edited application, and the token
+    parser reads on from there as a read of the whole text does."""
+    for seed in range(40):
+        rng = random.Random(seed)
+        blocks = _canonical_text(seed).removesuffix("\n").split("\n\n")  # one application each
+        if len(blocks) < 2:
+            continue
+        last = len(blocks) - 1
+        chosen = {"first": [0], "middle": [last // 2], "last": [last]}.get(place)
+        for at in chosen or rng.sample(range(len(blocks)), 2):
+            lines = blocks[at].splitlines()
+            _mutate(lines, kind, rng)
+            blocks[at] = "\n".join(lines)
+        text = "\n\n".join(blocks) + "\n"
+        assert repr(parse_corpus(text)) == repr(_parse_tokens(text)), (kind, place, seed)
+
+
+def test_the_token_parser_reads_on_with_the_ids_and_names_already_read():
+    """A repeat, in the part the token parser reads, of an id or a name that the
+    canonical reader read is a finding, as in a read of the whole text."""
+    golden = resources.files("tangibility").joinpath(GOLDEN_RESOURCE).read_text("utf-8")
+    last = 'application "SABLIER" {\n  id: 33\n'
+    text = golden.replace(last, 'application "sLOT mACHINE" {\n  id: 1\n')
+    assert parse_corpus(text) == _parse_tokens(text) == (Corpus(), [
+        E("application 1: duplicate application id 1", SourceSpan(840, 7)),
+        E("application 1: duplicate application name 'sLOT mACHINE'", SourceSpan(839, 13)),
+    ])
+    # The same, with an unknown key in the last application, which also stops the canonical read.
+    text = text.replace("  id: 1\n  year: 2022\n", '  id: 1\n  color: "red"\n  year: 2022\n')
+    assert parse_corpus(text) == _parse_tokens(text)
+    assert len(parse_corpus(text)[1]) == 3
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_lexing_from_a_line_start_places_tokens_as_the_whole_text_does(seed):
+    text = _canonical_text(seed)
+    for text in (text, text.removesuffix("\n")):
+        tokens = _lex(text)
+        for start in (0, *(match.end() for match in re.finditer("\n", text))):
+            line = text.count("\n", 0, start) + 1
+            assert _lex(text, start) == [token for token in tokens if token.line >= line]
+        # Past the end, where the canonical reader stops after the newline it adds.
+        assert _lex(text, len(text) + 1) == tokens[-1:]
 
 
 # The string body as one alternation per character, before it was unrolled.
@@ -1212,12 +1284,13 @@ def test_no_code_point_casefolds_to_nothing():
 
 def test_canonical_text_skips_the_token_parser(monkeypatch):
     calls = []
+    parse_application = dsl._Parser._parse_application
 
-    def spy(text):
-        calls.append(text)
-        return _parse_tokens(text)
+    def spy(parser):
+        calls.append(parser)
+        return parse_application(parser)
 
-    monkeypatch.setattr(dsl, "_parse_tokens", spy)
+    monkeypatch.setattr(dsl._Parser, "_parse_application", spy)
     golden = resources.files("tangibility").joinpath(GOLDEN_RESOURCE).read_text("utf-8")
     assert parse_corpus(golden) == (load_golden(), [])
     assert parse_corpus(golden.removesuffix("\n")) == (load_golden(), [])
@@ -1227,7 +1300,7 @@ def test_canonical_text_skips_the_token_parser(monkeypatch):
     assert calls == []
     text = golden.replace("\n  id: ", "\n  id : ")
     assert parse_corpus(text) == (load_golden(), [])
-    assert calls == [text]
+    assert len(calls) == 33
 
 
 @pytest.mark.parametrize("kind", JSON_MUTATIONS)
@@ -1317,9 +1390,9 @@ def test_every_reader_and_hallmark_takes_the_shared_counts():
             assert count.value is not None and count.value >= 64 or count is _COUNTS[count.value]
         return corpus
 
-    canonical = shared(dsl._read_canonical(text)[0])
+    canonical = shared(Corpus(tuple(dsl._read_canonical(text)[0])))
     tokens = text.replace("  ", "\t")  # not canonical
-    assert dsl._read_canonical(tokens) is None
+    assert dsl._read_canonical(tokens)[0] == []
     assert shared(_parse_tokens(tokens)[0]) == canonical
     exported = export_json(canonical)
     assert "\\u" not in exported and '"color"' not in exported
