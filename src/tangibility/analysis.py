@@ -133,11 +133,6 @@ def role_distribution(corpus: Corpus) -> dict[Role, RoleShare]:
     return {role: RoleShare(counts[role], _percent_half_up(counts[role], total)) for role in Role}
 
 
-def _by_id(corpus: Corpus) -> list[tuple[Application, Hallmark]]:
-    """(application, hallmark) pairs in ascending id order."""
-    return sorted(zip(corpus.applications, corpus.hallmarks), key=lambda pair: pair[0].id)
-
-
 def class_distribution(corpus: Corpus) -> dict[str, int]:
     """Applications per class label, including 'unclassified'."""
     return _class_counts(classify(mark).label for mark in corpus.hallmarks)
@@ -149,31 +144,23 @@ def _class_counts(labels: Iterable[str]) -> dict[str, int]:
     return {label: counts[label] for label in CLASS_LABELS}
 
 
-def _clusters(keyed: dict) -> list[Cluster]:
-    clusters = [
-        Cluster(key, tuple(sorted(ids))) for key, ids in keyed.items() if len(ids) > 1
-    ]
-    clusters.sort(key=lambda c: c.members[0])
-    return clusters
-
-
 def cluster_by_hallmark(corpus: Corpus) -> list[Cluster]:
-    """Groups of applications with identical hallmarks (multi-member only),
-    ordered by smallest member id, members ascending."""
+    """Groups of applications with identical hallmarks (multi-member only), filled
+    in id order: so ordered by smallest member id, members ascending."""
     keyed: dict[Hallmark, list[int]] = {}
-    for app, mark in zip(corpus.applications, corpus.hallmarks):
+    for app, mark in corpus._by_id:
         keyed.setdefault(mark, []).append(app.id)
-    return _clusters(keyed)
+    return [Cluster(mark, tuple(ids)) for mark, ids in keyed.items() if len(ids) > 1]
 
 
 def cluster_by_binary_hallmark(corpus: Corpus) -> list[Cluster]:
-    """Like cluster_by_hallmark but on binarized vectors."""
+    """Like cluster_by_hallmark but on binarized vectors, in the same order."""
     # Binary hallmarks are equal exactly when their masks are; each group is
     # keyed by its first member's hallmark, binarized only for a cluster.
     keyed: dict[int, tuple[Hallmark, list[int]]] = {}
-    for app, mark in zip(corpus.applications, corpus.hallmarks):
+    for app, mark in corpus._by_id:
         keyed.setdefault(mark.mask, (mark, []))[1].append(app.id)
-    return _clusters({binarize(mark): ids for mark, ids in keyed.values() if len(ids) > 1})
+    return [Cluster(binarize(mark), tuple(ids)) for mark, ids in keyed.values() if len(ids) > 1]
 
 
 def distinct_hallmark_count(corpus: Corpus) -> int:
@@ -190,7 +177,7 @@ def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
     The L1 metric needs exact components, so a corpus containing a "many"
     raises SymbolicCountError naming the offending application.
     """
-    pairs = _by_id(corpus)
+    pairs = corpus._by_id
     if metric is Metric.L1:
         for app, mark in pairs:
             if mark.has_many:
@@ -255,7 +242,7 @@ def cross_tab(corpus: Corpus, key: str) -> CrossTab:
     """
     if key not in ("genre", "subgenre"):
         raise ValueError(f"key must be 'genre' or 'subgenre', got {key!r}")
-    pairs = _by_id(corpus)
+    pairs = corpus._by_id
     classes = tuple(classify(mark).label for _, mark in pairs)
     grouped = defaultdict(lambda: {c: [] for c in CLASS_LABELS})  # key value -> class -> ids
     for (app, _), label in zip(pairs, classes):

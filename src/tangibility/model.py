@@ -183,6 +183,13 @@ class Corpus:
 
         return tuple(map(compute_hallmark, self.applications))
 
+    @cached_property
+    def _by_id(self) -> tuple[tuple[Application, Hallmark], ...]:
+        """(application, hallmark) pairs in ascending id order, sorted once and
+        cached like ``hallmarks``; every id-ordered output reads it.  The sort is
+        stable, so applications sharing an id keep their corpus order."""
+        return tuple(sorted(zip(self.applications, self.hallmarks), key=lambda pair: pair[0].id))
+
 
 class Severity(enum.Enum):
     WARNING = "warning"

@@ -19,7 +19,6 @@ from typing import Any, Iterable, Iterator
 
 from .analysis import (
     CLASS_LABELS,
-    _by_id,
     _class_counts,
     Cluster,
     CrossTab,
@@ -358,7 +357,7 @@ class Analytics:
 
 
 def _app_rows(corpus: Corpus) -> tuple[AppRow, ...]:
-    return tuple(AppRow(a.id, a.name, m, classify(m)) for a, m in _by_id(corpus))
+    return tuple(AppRow(a.id, a.name, m, classify(m)) for a, m in corpus._by_id)
 
 
 def hallmark_table(corpus: Corpus) -> HallmarkTable:
@@ -384,10 +383,10 @@ def clusters_report(corpus: Corpus, binary: bool = False) -> Clusters:
 def analytics_report(
     corpus: Corpus, key: str = "genre", metric: Metric = Metric.HAMMING
 ) -> Analytics:
-    # Every section reads the hallmarks, so they are computed outside any one
-    # section's time.  The matrix comes first: L1 refuses a "many" before any
-    # other section is built.
-    corpus.hallmarks
+    # Every section reads the hallmarks, and most the id order, so both are
+    # computed outside any one section's time.  The matrix comes first: L1
+    # refuses a "many" before any other section is built.
+    corpus._by_id
     matrix = distance_matrix(corpus, metric)
     try:
         roles: dict[Role, RoleShare] | None = role_distribution(corpus)

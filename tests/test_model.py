@@ -222,15 +222,16 @@ class TestHallmarks:
 
     def test_replace_starts_fresh(self, calls):
         a = Corpus((_app(1, "A"),))
-        a.hallmarks
+        a.hallmarks, a._by_id
         entities = [_entity(count=Count(4))]
         b = dataclasses.replace(a, applications=(_app(1, "A", entities=entities),))
         assert b.hallmarks[0].components[0] == Count(4)
+        assert b._by_id == ((b.applications[0], b.hallmarks[0]),)
         assert calls == [1, 1]
 
     def test_cache_is_not_a_field(self):
         cached = Corpus((_app(1, "A"), _app(2, "B")))
-        cached.hallmarks
+        cached.hallmarks, cached._by_id
         fresh = Corpus((_app(1, "A"), _app(2, "B")))
         assert cached == fresh
         assert hash(cached) == hash(fresh)

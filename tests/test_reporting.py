@@ -10,12 +10,13 @@ import random
 import re
 import sys
 from operator import attrgetter
+from typing import Iterator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from corpusgen import random_corpus
+from corpusgen import clean_corpus, random_corpus
 from tangibility import (
     Application,
     Corpus,
@@ -27,8 +28,12 @@ from tangibility import (
     class_distribution,
     classify,
     compute_hallmark,
+    export_json,
+    import_json,
     load_golden,
+    parse_corpus,
     parse_term,
+    serialize_corpus,
 )
 from tangibility import reporting
 from tangibility.reporting import (
@@ -115,8 +120,20 @@ def test_analytics_report_computes_each_hallmark_once(monkeypatch):
         analytics_report(Corpus(apps), metric=metric)
         assert sorted(calls) == sorted(app.id for app in apps)
 
-    # Every report built from one corpus shares its hallmarks.
+    # Every report built from one corpus shares its hallmarks, and one sort of
+    # its applications by id.
     calls.clear()
+    sorts = []  # the ids of each sort of (application, ...) tuples
+
+    def counted_sorted(items, **kwargs):
+        items = sorted(items, **kwargs)
+        if items and isinstance(items[0], tuple) and isinstance(items[0][0], Application):
+            sorts.append([item[0].id for item in items])
+        return items
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "tangibility":
+            monkeypatch.setattr(module, "sorted", counted_sorted, raising=False)
     corpus = Corpus(exact)
     hallmark_table(corpus)
     class_table(corpus)
@@ -125,6 +142,7 @@ def test_analytics_report_computes_each_hallmark_once(monkeypatch):
     for metric in (Metric.HAMMING, Metric.L1):
         analytics_report(corpus, metric=metric)
     assert sorted(calls) == sorted(app.id for app in exact)
+    assert sorts == [sorted(app.id for app in exact)]
 
 
 def test_analytics_report_classifies_each_hallmark_once(monkeypatch):
@@ -179,6 +197,42 @@ def test_l1_refuses_many_before_building_other_sections(monkeypatch):
         monkeypatch.setattr(reporting, name, built)
     with pytest.raises(SymbolicCountError, match="application 9"):
         analytics_report(load_golden(), metric=Metric.L1)
+
+
+def _id_ordered_outputs(corpus: Corpus) -> Iterator[str]:
+    """Every id-ordered report of ``corpus`` in every format, or L1's refusal."""
+    for report in (
+        class_table(corpus),
+        hallmark_table(corpus),
+        clusters_report(corpus),
+        clusters_report(corpus, binary=True),
+    ):
+        for fmt in ("text", "csv", "json"):
+            yield render(report, fmt)
+    for key in ("genre", "subgenre"):
+        for metric in Metric:
+            try:
+                report = analytics_report(corpus, key, metric)
+            except SymbolicCountError as error:
+                yield f"refused: {error}"
+                continue
+            for fmt in ("text", "csv", "json", "dot"):
+                yield render(report, fmt)
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2, 3, 4, 5])
+def test_output_does_not_depend_on_input_order(seed):
+    """Reversed or shuffled, a corpus prints the same reports; the writers keep
+    the order they are given.  ``seed`` None is the golden corpus."""
+    corpus = load_golden() if seed is None else clean_corpus(seed)
+    expected = list(_id_ordered_outputs(corpus))
+    apps = corpus.applications
+    orders = [apps[::-1], *(tuple(random.Random(s).sample(apps, len(apps))) for s in range(5))]
+    for order in orders:
+        reordered = Corpus(order)
+        assert list(_id_ordered_outputs(reordered)) == expected
+        assert parse_corpus(serialize_corpus(reordered))[0].applications == order
+        assert import_json(export_json(reordered))[0].applications == order
 
 
 class TestText:
