@@ -174,12 +174,12 @@ _TOKEN = re.compile(
     """,
     re.VERBOSE,
 )
-_ESCAPE = re.compile(r'\\(["\\])')
 
 
 def _unescape(body: str | None) -> str | None:
-    """The value of a string whose body (between the quotes) is ``body``."""
-    return _ESCAPE.sub(r"\1", body) if body and "\\" in body else body
+    """The value of a string whose body (between the quotes) is ``body``.  A body holds
+    no bare quote, so once each ``\\\\`` is undone, every quote left is a ``\\"``."""
+    return body.replace("\\\\", "\\").replace('\\"', '"') if body and "\\" in body else body
 
 
 def _lex(text: str, start: int = 0) -> list[_Token]:

@@ -129,7 +129,9 @@ class _SharedCounts(dict):
 _COUNTS = _SharedCounts({None: Count.MANY, "many": Count.MANY, **{n: Count(n) for n in range(64)}})
 
 
-@dataclass(frozen=True)
+# Each __init__ sets the instance dict in one step, not one object.__setattr__ per field
+# as a frozen dataclass's does; ==, hash, repr, fields and the frozen guard are generated.
+@dataclass(frozen=True, init=False)
 class Entity:
     """One annotated constituent of an application."""
 
@@ -139,8 +141,16 @@ class Entity:
     count: Count = _COUNTS[1]
     note: str | None = None
 
+    def __init__(
+        self, name: str, role: Role, tangibility: Tangibility, count: Count = _COUNTS[1],
+        note: str | None = None,
+    ) -> None:
+        object.__setattr__(self, "__dict__", {
+            "name": name, "role": role, "tangibility": tangibility, "count": count, "note": note,
+        })
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, init=False)
 class Application:
     """One specimen: catalog metadata plus its entity records."""
 
@@ -151,6 +161,15 @@ class Application:
     subgenre: str | None = None
     refs: tuple[str, ...] = ()
     entities: tuple[Entity, ...] = ()
+
+    def __init__(
+        self, id: int, name: str, year: int | None = None, genre: str | None = None,
+        subgenre: str | None = None, refs: tuple[str, ...] = (), entities: tuple[Entity, ...] = (),
+    ) -> None:
+        object.__setattr__(self, "__dict__", {
+            "id": id, "name": name, "year": year, "genre": genre, "subgenre": subgenre,
+            "refs": refs, "entities": entities,
+        })
 
 
 @dataclass(frozen=True)

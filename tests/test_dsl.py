@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import random
 import re
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from corpusgen import JSON_ESCAPES, JSON_MUTATIONS, clean_corpus, random_corpus
 from tangibility import (
+    Application,
     Corpus,
     Count,
     Entity,
@@ -1277,6 +1279,25 @@ def test_unrolled_string_body_reads_as_the_alternation(text):
     assert _lexed(text) == expected
 
 
+# The unescape before it was two str.replace calls.
+def _regex_unescape(body):
+    return re.sub(r'\\(["\\])', r"\1", body)
+
+
+def test_unescape_is_the_regex_it_replaced():
+    """On every string body of up to 8 characters over a, é, a quote and a backslash."""
+    bodies = [
+        "".join(chars)
+        for size in range(9)
+        for chars in itertools.product('a\u00e9"\\', repeat=size)
+        if re.fullmatch(dsl._STRING_BODY, "".join(chars))
+    ]
+    assert len(bodies) == 3_861  # runs of a, é, \\ and \"
+    for body in bodies:
+        assert dsl._unescape(body) == _regex_unescape(body), body
+    assert dsl._unescape(None) is None
+
+
 def test_no_code_point_casefolds_to_nothing():
     """So a name is blank after strip() and casefold() only if it is after strip()."""
     assert all(chr(c).casefold() for c in range(sys.maxunicode + 1))
@@ -1406,3 +1427,29 @@ def test_every_reader_and_hallmark_takes_the_shared_counts():
     for value in (0, 1, 63, "many"):
         components = Hallmark.of(value, *[0] * 11).components
         assert components[0] is _COUNTS[value] and components[1] is _COUNTS[0]
+
+
+def test_every_reader_sets_each_records_fields_in_order():
+    """Each record that the canonical reader, the whole-text token parser and the JSON
+    reader's lean and located reads return holds its fields in the dataclass order."""
+    golden = resources.files("tangibility").joinpath(GOLDEN_RESOURCE).read_text("utf-8")
+    app_fields = [field.name for field in dataclasses.fields(Application)]
+    entity_fields = [field.name for field in dataclasses.fields(Entity)]
+    for text in (golden, *map(_canonical_text, range(6))):
+        corpus, findings = _parse_tokens(text)
+        assert corpus.applications and findings == []
+        exported = export_json(corpus)
+        # An unknown top-level key with a \u escape sends every entity to the located read.
+        located = exported.replace("{", '{"x":"\\u0041",', 1)
+        assert import_json(located) == (corpus, [W("unknown key 'x' at top level")])
+        reads = [
+            tuple(dsl._read_canonical(text)[0]),
+            corpus.applications,
+            import_json(exported)[0].applications,
+            import_json(located)[0].applications,
+        ]
+        for applications in reads:
+            assert applications == corpus.applications
+            for app in applications:
+                assert list(vars(app)) == app_fields
+                assert all(list(vars(entity)) == entity_fields for entity in app.entities)

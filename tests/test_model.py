@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
+import inspect
+import pickle
 import sys
 
 import pytest
@@ -236,3 +239,75 @@ class TestHallmarks:
         assert cached == fresh
         assert hash(cached) == hash(fresh)
         assert repr(cached) == repr(fresh)
+
+
+class TestRecords:
+    """Entity and Application have hand-written ``__init__``s that set every field in
+    one step; they take the generated one's parameters and build the same records."""
+
+    RECORDS = {
+        Entity: (("e", Role.TOOL, Tangibility.GRASPABLE, Count(3), "n"), 3),
+        Application: ((7, "A", 1999, "G", "S", ("r",), (_entity(),)), 2),
+    }
+
+    @pytest.mark.parametrize("cls", RECORDS)
+    def test_signature_is_the_fields(self, cls):
+        parameters = list(inspect.signature(cls).parameters.values())
+        fields = dataclasses.fields(cls)
+        assert [p.name for p in parameters] == [f.name for f in fields]
+        assert {p.kind for p in parameters} == {inspect.Parameter.POSITIONAL_OR_KEYWORD}
+        assert [p.default for p in parameters] == [
+            inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default
+            for f in fields
+        ]
+        assert cls.__match_args__ == tuple(f.name for f in fields)
+
+    @pytest.mark.parametrize("cls", RECORDS)
+    def test_records_agree_however_built(self, cls):
+        """By position, by keyword in any order, with defaults left out or passed, and
+        again by replace, copy, deepcopy and pickle: equal, of equal hash and repr,
+        with the fields set in their order."""
+        values, required = self.RECORDS[cls]
+        fields = dataclasses.fields(cls)
+        names = [f.name for f in fields]
+        record = cls(*values)
+        short = cls(*values[:required])
+        protocols = range(pickle.HIGHEST_PROTOCOL + 1)
+        pairs = [
+            (record, cls(**dict(zip(reversed(names), reversed(values))))),
+            (record, dataclasses.replace(record)),
+            (record, copy.copy(record)),
+            (record, copy.deepcopy(record)),
+            *((record, pickle.loads(pickle.dumps(record, protocol))) for protocol in protocols),
+            (short, cls(*values[:required], *(f.default for f in fields[required:]))),
+        ]
+        for one, other in pairs:
+            assert other == one and other is not one
+            assert hash(other) == hash(one)
+            assert repr(other) == repr(one)
+            assert list(vars(one)) == list(vars(other)) == names
+        changed = dataclasses.replace(record, name="B")
+        assert changed == cls(**{**dict(zip(names, values)), "name": "B"}) != record
+
+    @pytest.mark.parametrize("cls", RECORDS)
+    def test_records_are_frozen(self, cls):
+        record = cls(*self.RECORDS[cls][0])
+        for name in (f.name for f in dataclasses.fields(cls)):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(record, name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(record, name)
+        assert record == cls(*self.RECORDS[cls][0])
+
+    @pytest.mark.parametrize("cls", RECORDS)
+    def test_wrong_arguments_are_refused(self, cls):
+        values, required = self.RECORDS[cls]
+        first = dataclasses.fields(cls)[0].name
+        for args, kwargs in (
+            (values[: required - 1], {}),  # missing
+            (values, {"color": "red"}),  # unknown
+            ((*values, None), {}),  # one too many
+            (values, {first: values[0]}),  # repeated
+        ):
+            with pytest.raises(TypeError):
+                cls(*args, **kwargs)
