@@ -14,8 +14,11 @@ added after it.  Every command that reads a corpus runs the one handler
 returns the text to write.  The handler reads the input's bytes, prints the
 reader's diagnostics, and builds and writes the report; its one ``except``,
 around reading and building, makes an unreadable input, a corrupted bundled
-corpus or a refused report one error line.  It pauses the cyclic collector
-while it runs and leaves it as it found it.  Every byte printed, diagnostics
+corpus or a refused report one error line.  It runs with the cyclic
+collector paused (``dsl._uncollected``, as ``load_golden`` does) and leaves
+it as it found it.  The parser is built once per process, on the first
+``main`` call, and every later call reuses it; handlers are still looked up
+in ``_COMMANDS`` at call time.  Every byte printed, diagnostics
 and usage errors too, goes through ``_emit`` as UTF-8 with "\\n" line ends
 whatever the locale; a closed or failing stderr (a closed fd and a closed
 stream object alike) loses them and changes nothing else.
@@ -30,12 +33,12 @@ stdout (fd or stream object), or a failed write, of the help too (each one
 from __future__ import annotations
 
 import argparse
-import gc
 import sys
+from functools import cache
 from typing import Callable, NoReturn, Sequence
 
 from .analysis import Metric
-from .dsl import _read, export_json, serialize_corpus
+from .dsl import _read, _uncollected, export_json, serialize_corpus
 from .golden import load_golden
 from .model import Corpus, Diagnostic
 from .reporting import analytics_report, class_table, clusters_report, hallmark_table, render
@@ -103,9 +106,6 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
         if not args.golden and args.input is None:
             parser.error("an input path (or --golden) is required")
         label = "<golden>" if args.golden else "<stdin>" if args.input == "-" else args.input
-        # The corpus and the report hold no cycles: collecting would free nothing.
-        collecting = gc.isenabled()
-        gc.disable()
         try:
             if args.golden:
                 corpus, diagnostics = load_golden(), []
@@ -128,11 +128,8 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
             return _fail(error, label)
         else:
             return _write(text, label)
-        finally:
-            if collecting:
-                gc.enable()
 
-    return handler
+    return _uncollected(handler)
 
 
 def _cmd_term(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
@@ -193,6 +190,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+@cache  # built on the first main() call, not at import, and reused by every later one
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="tangibility",

@@ -59,17 +59,21 @@ located, its location built then, so the checker and that read remain the
 only source of JSON diagnostics.  In either format a repeated key
 keeps its last value and draws a warning.  `_read` is the one entry for a
 file, stdin or the bundled asset: it decodes UTF-8 bytes and reads text
-starting with "{" or "[" as JSON.
+starting with "{" or "[" as JSON.  Its two callers, the CLI's corpus
+commands and `load_golden`, run under `_uncollected`, the one home of the
+pause of the cyclic collector.
 """
 
 from __future__ import annotations
 
 import enum
+import gc
 import json
 import re
 import sys
+from functools import wraps
 from operator import attrgetter
-from typing import Any, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
 from .model import (
     _COUNTS,
@@ -720,3 +724,24 @@ def _read(data: bytes) -> tuple[Corpus, list[Diagnostic]]:
     text = data.decode("utf-8", "surrogateescape")
     is_json = text.removeprefix("\ufeff").lstrip().startswith(("{", "["))
     return import_json(text) if is_json else parse_corpus(text)
+
+
+_T = TypeVar("_T")
+
+
+def _uncollected(fn: Callable[..., _T]) -> Callable[..., _T]:
+    """``fn`` with the cyclic collector paused while it runs, and left as it was
+    found.  A corpus and the reports built from it hold no cycles: collecting
+    while they are read or built would free nothing."""
+
+    @wraps(fn)
+    def paused(*args: Any) -> _T:
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args)
+        finally:
+            if collecting:
+                gc.enable()
+
+    return paused

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 from importlib import resources
 
-from .dsl import _read
+from .dsl import _read, _uncollected
 from .model import Corpus
 
 __all__ = ["load_golden", "GOLDEN_RESOURCE"]
@@ -20,12 +20,14 @@ GOLDEN_RESOURCE = "data/golden.corpus"
 
 
 @lru_cache(maxsize=1)
+@_uncollected
 def load_golden() -> Corpus:
     """Parse and return the bundled corpus, read like any other input.
 
     The asset must load without a single diagnostic; anything else means a
     corrupted installation and raises RuntimeError.  The result is cached
-    and immutable.
+    and immutable.  Like a CLI command, it reads with the cyclic collector
+    paused, and leaves the collector as it found it.
     """
     data = resources.files(__package__).joinpath(GOLDEN_RESOURCE).read_bytes()
     corpus, diagnostics = _read(data)

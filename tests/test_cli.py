@@ -321,7 +321,7 @@ class TestUsage:
 
     def test_help_is_written_like_any_output(self, capsys):
         assert main(["--help"]) == 0
-        assert capsys.readouterr() == (cli._build_parser().format_help(), "")
+        assert capsys.readouterr() == (cli._build_parser.__wrapped__().format_help(), "")
 
 
 # The --format values each corpus command takes; validate takes none.
@@ -361,6 +361,59 @@ def test_command_surface(argv, capsys):
         assert err == "" and (out == "") is argv.startswith("validate")
     else:
         assert out == "" and "error:" in err
+
+
+# The command surface again, with help, both usage errors of a corpus command's
+# handler, and each option given and then left to its default.
+SEQUENCE = [
+    *(argv.split() for argv in SURFACE),
+    ["--help"],
+    ["classify", "--help"],
+    ["validate"],  # no input
+    ["classify", "good.corpus", "--golden"],  # a path and --golden
+    ["analyze", "--golden", "--key", "subgenre"],
+    ["analyze", "--golden"],
+    ["analyze", "-", "--metric", "l1"],
+    ["analyze", "-"],
+    ["cluster", "--golden", "--binary"],
+    ["cluster", "--golden"],
+    ["classify", "--golden", "--format", "csv"],
+    ["classify", "--golden"],
+]
+
+
+def test_the_shared_parser_carries_no_state(monkeypatch):
+    """Every main() call in a process parses with one parser.  Run on it forward
+    and then in reverse, each argv list gives the exit code, stdout and stderr
+    it gives on a freshly built parser."""
+    sequence = SEQUENCE + SEQUENCE[::-1]
+    shared = [run_cli(argv, GOOD) for argv in sequence]
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert shared == [run_cli(argv, GOOD) for argv in sequence]
+
+
+def test_the_parser_is_built_once(monkeypatch, capsys):
+    """main() builds its parser at most once, and importing the CLI builds none."""
+    built = []
+    add_subparsers = cli._Parser.add_subparsers
+
+    def spy(self, **kwargs):
+        built.append(self)
+        return add_subparsers(self, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "add_subparsers", spy)
+    for argv in 4 * ["validate --golden", "classify --golden", "term tolnible", "--help", "x"]:
+        main(argv.split())  # 20 calls: corpus commands, term, help and a usage error
+    assert len(built) <= 1
+    src = Path(tangibility.__file__).parent.parent
+    probe = "import tangibility.cli as cli; print(cli._build_parser.cache_info().currsize)"
+    imported = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        check=True,
+    )
+    assert imported.stdout == b"0\n"
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from types import SimpleNamespace
 
 import pytest
@@ -94,6 +95,31 @@ def test_a_broken_asset_raises(text, message, tmp_path, monkeypatch):
         assert str(raised.value) == f"bundled corpus asset is {message}"
     finally:
         load_golden.cache_clear()
+
+
+@pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
+def test_a_cold_load_runs_no_collection(collecting):
+    """A load pauses the cyclic collector, as a CLI command does, so reading the
+    corpus meets no collection; and it leaves the collector as it found it."""
+    phases = []
+
+    def hook(phase, info):
+        phases.append(phase)
+
+    before, threshold = gc.isenabled(), gc.get_threshold()
+    (gc.enable if collecting else gc.disable)()
+    gc.set_threshold(100)  # a load makes some 440 objects: a running collector would run
+    gc.collect()  # so that no collection is due, or scheduled (3.12+), as the hook goes in
+    gc.callbacks.append(hook)
+    try:
+        corpus = load_golden.__wrapped__()
+        assert gc.isenabled() is collecting
+    finally:
+        gc.callbacks.pop()
+        gc.set_threshold(*threshold)
+        (gc.enable if before else gc.disable)()
+    assert phases == []
+    assert corpus == load_golden()
 
 
 def test_validates_clean():
