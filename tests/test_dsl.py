@@ -36,10 +36,12 @@ from tangibility.dsl import _TOKEN, _lex, _parse_tokens
 from tangibility.golden import GOLDEN_RESOURCE
 from tangibility.model import _COUNTS, Diagnostic, InvariantChecker, SourceSpan
 from test_snapshots import (
+    APPLICATION_GRID_DIGEST,
     DIGESTS,
     ENTITY_GRID_DIGEST,
     JSON_MUTATION_DIGESTS,
     WRITER_DIGEST,
+    json_application_grid_digest,
     json_entity_grid_digest,
     json_mutation_digest,
     writer_corpus,
@@ -1336,6 +1338,14 @@ def test_entity_grid_reads_as_the_diagnosing_reader_reads_it():
     its digest was pinned, with and without an escape elsewhere in the text."""
     pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[ENTITY_GRID_DIGEST]
     assert json_entity_grid_digest() == pinned
+
+
+def test_application_grid_reads_as_the_diagnosing_reader_reads_it():
+    """Every combination of valid and wrong application values, after an application
+    whose id and name they may repeat, reads as it did when its digest was pinned,
+    with and without an escape elsewhere in the text."""
+    pinned = json.loads(DIGESTS.read_text(encoding="utf-8"))[APPLICATION_GRID_DIGEST]
+    assert json_application_grid_digest() == pinned
 
 
 def test_writers_write_as_pinned():

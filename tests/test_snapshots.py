@@ -24,7 +24,9 @@ ingest commands run too: validate, and export as text and as JSON.
   ``corpusgen.JSON_MUTATIONS`` kind, over 60 seeded corpora: one digest per
   kind of each loaded corpus and every diagnostic, in the same file.  One
   more digest pins it on one-application corpora whose one entity takes
-  every combination of ``ENTITY_GRID``'s values.
+  every combination of ``ENTITY_GRID``'s values, and one more on two-application
+  corpora whose second application takes every combination of
+  ``APPLICATION_GRID``'s values.
 - ``serialize_corpus`` and ``export_json`` alone are pinned on one
   library-built corpus (``writer_corpus``): one digest of both texts.
 
@@ -81,8 +83,9 @@ LARGE = {
 COLLISIONS = "collisions"
 JSON_MUTATION_DIGESTS = "json-mutations"
 ENTITY_GRID_DIGEST = "json-entity-grid"
+APPLICATION_GRID_DIGEST = "json-application-grid"
 WRITER_DIGEST = "writers"
-MISSING = object()  # an ENTITY_GRID value: the key is left out
+MISSING = object()  # a grid value: the key is left out
 # Valid values, and each way the JSON reader can find one wrong; "color" is an unknown key.
 ENTITY_GRID = {
     "name": ["e", "", " ", 1, MISSING],
@@ -91,6 +94,22 @@ ENTITY_GRID = {
     "count": [1, 63, 64, 0, -1, 1.0, True, "many", "3", None, MISSING],
     "note": ["n", None, 1, MISSING],
     "color": [MISSING, "red"],
+}
+# The same for an application read after one with id 1 and name "A" (so that 1 and
+# " a " repeat them); "entities" holds one valid entity, none, or one that is not an object.
+APPLICATION_GRID = {
+    "id": [2, 1, 0, True],
+    "name": ["b", " a ", " ", 1, MISSING],
+    "year": [0, -1, True, None],
+    "genre": ["g", 1],
+    "subgenre": [MISSING, {}],
+    "refs": [["r"], "r", [[]], MISSING],
+    "entities": [[{"name": "e", "what": "datum", "how": "tangible"}], [], {}, [[]]],
+    "color": [MISSING, "red"],
+}
+FIRST_APPLICATION = {
+    "id": 1, "name": "A", "genre": "é",
+    "entities": [{"name": "e", "what": "tool", "how": "graspable"}],
 }
 
 
@@ -198,6 +217,19 @@ def json_entity_grid_digest() -> str:
     return _sha256(results)
 
 
+def json_application_grid_digest() -> str:
+    """The digest of import_json's result on each two-application corpus whose second
+    application takes a combination of ``APPLICATION_GRID``'s values, read as is and
+    with the first application's genre "é" written as a \\u00e9 escape."""
+    results = []
+    for values in itertools.product(*APPLICATION_GRID.values()):
+        app = {key: value for key, value in zip(APPLICATION_GRID, values) if value is not MISSING}
+        for escaped in (False, True):
+            first = json.dumps(FIRST_APPLICATION, ensure_ascii=escaped)
+            results.append(_imported(f'{{"applications":[{first},{json.dumps(app)}]}}'))
+    return _sha256(results)
+
+
 def writer_corpus() -> Corpus:
     """A corpus built by the library, not read: every role and tangibility pair,
     a freshly built Count(1), the default one, "many" and counts of 64 and more,
@@ -294,6 +326,7 @@ def _write_snapshots() -> None:
     digests[COLLISIONS] = _corpus_digests(_collision_corpus())
     digests[JSON_MUTATION_DIGESTS] = {kind: json_mutation_digest(kind) for kind in JSON_MUTATIONS}
     digests[ENTITY_GRID_DIGEST] = json_entity_grid_digest()
+    digests[APPLICATION_GRID_DIGEST] = json_application_grid_digest()
     digests[WRITER_DIGEST] = writer_digest()
     for path, payload in ((GOLDEN_STATUS, status), (DIGESTS, digests)):
         path.write_text(
