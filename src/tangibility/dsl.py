@@ -48,16 +48,15 @@ finding falls, with blank and `#` comment lines between them, are read by
 one regex match per block (`_read_canonical`, its patterns built from the
 field table), and the token parser (`_parse_tokens`), the only source of
 text diagnostics, reads on from the first other block with the ids and
-names read so far.  JSON, a one-object
-schema for interchange with other tooling, is read by `_JsonReader` alone,
-after one `json.loads`.  Each entity first gets one lean test, which holds
-only where the located read would record no finding: a plain object of known
-keys, a name that is not blank, a known role and tangibility, a positive
-integer count or "many", a string or no note, and no \\n, \\r or \\u
-escape in the text.  Such an entity is built at once; any other is read
-located, its location built then, so the checker and that read remain the
-only source of JSON diagnostics.  In either format a repeated key
-keeps its last value and draws a warning.  `_read` is the one entry for a
+names read so far.  JSON, a one-object schema for interchange with other
+tooling, is parsed by one `json.loads`.  A corpus in which the located read
+(`_JsonReader`) would record no finding, in a text with no \\n, \\r or \\u
+escape, is then read lean (`_read_lean`): each field of every application
+and entity is tested as one column, in C-level passes, and the records are
+built only once every test holds.  Any other corpus is read located from the
+same parsed data, so the checker and that read remain the only source of
+JSON diagnostics.  In either format a repeated key keeps its last value and
+draws a warning.  `_read` is the one entry for a
 file, stdin or the bundled asset: it decodes UTF-8 bytes and reads text
 starting with "{" or "[" as JSON.  Its two callers, the CLI's corpus
 commands and `load_golden`, run under `_uncollected`, the one home of the
@@ -72,6 +71,7 @@ import json
 import re
 import sys
 from functools import wraps
+from itertools import chain, islice, repeat
 from operator import attrgetter
 from typing import Any, Callable, Iterable, NamedTuple, TypeVar
 
@@ -550,7 +550,7 @@ _ENTITY_KEYS = frozenset({"name", *_ENTITY.fields})
 # The JSON type of each key read by type, which _mistyped names.  json.loads makes
 # no int or str subclass, so an exact type test is is_integer's (bool is not int).
 _FIELD_TYPES = {"name": str, **_APPLICATION.fields, **_ENTITY.fields}
-_INT_OR_NONE, _STR_OR_NONE = (int, type(None)), (str, type(None))  # an optional value's types
+_INT_OR_NONE, _STR_OR_NONE = {int, type(None)}, {str, type(None)}  # an optional value's types
 # Whether a JSON text holds a \n, \r or \u escape: only these can put a line
 # break or a lone surrogate in a string, as json.loads refuses a raw line break
 # and _text a raw lone surrogate.
@@ -571,14 +571,78 @@ def _object_pairs(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
     return node
 
 
+def _column(nodes: list[dict], key: str, default: Any = None) -> list[Any]:
+    return list(map(dict.get, nodes, repeat(key), repeat(default)))
+
+
+def _types(values: Iterable[Any]) -> set[type]:
+    return set(map(type, values))
+
+
+def _read_lean(data: Any) -> Corpus | None:
+    """The corpus in ``data`` if the located read would record no finding in it, else
+    None.  Each field of every application and entity is tested as one column, in
+    C-level passes, and the records are built only once every test holds.  The
+    caller has found no \\n, \\r or \\u escape in the text, so one_line holds."""
+    if type(data) is not dict or data.keys() != {"applications"}:  # no _Repeats either
+        return None
+    apps = data["applications"]
+    if type(apps) is not list or not _types(apps) <= {dict}:
+        return None
+    lists = _column(apps, "entities")
+    if not (
+        _types(lists) <= {list} and all(lists)
+        and _types(entities := list(chain.from_iterable(lists))) <= {dict}
+        and all(map(_APPLICATION_KEYS.issuperset, apps))
+        and all(map(_ENTITY_KEYS.issuperset, entities))
+    ):
+        return None
+    ids, names, years, genres, subgenres = (
+        _column(apps, key) for key in ("id", "name", "year", "genre", "subgenre")
+    )
+    entity_names, whats, hows, notes = (
+        _column(entities, key) for key in ("name", "what", "how", "note")
+    )
+    refs, counts = _column(apps, "refs", []), _column(entities, "count", 1)
+    if not (
+        _types(ids) <= {int} and min(ids, default=1) > 0 and len(set(ids)) == len(ids)
+        and _types(chain(names, entity_names, whats, hows)) <= {str}
+        and "" not in (folded := set(map(str.casefold, map(str.strip, names))))
+        and len(folded) == len(names) and all(map(str.strip, entity_names))
+        and set(whats) <= _ROLES.keys() and set(hows) <= _TANGIBILITIES.keys()
+        and _types(years) <= _INT_OR_NONE and min(filter(None, years), default=0) >= 0
+        and _types(chain(genres, subgenres, notes)) <= _STR_OR_NONE
+        and _types(refs) <= {list} and _types(chain.from_iterable(refs)) <= {str}
+        and _types(counts) <= {int, str}
+        and _types(exact := set(counts) - {"many"}) <= {int} and min(exact, default=1) > 0
+    ):
+        return None
+    # count_total's test, on a bound of every total: the largest count times the longest list.
+    limit = sys.get_int_max_str_digits()
+    bound = max(exact, default=0) * max(map(len, lists), default=0)
+    if limit and bound.bit_length() > 3 * (limit - 1):
+        return None
+    records = map(
+        Entity, entity_names, map(_ROLES.__getitem__, whats),
+        map(_TANGIBILITIES.__getitem__, hows), map(_COUNTS.__getitem__, counts), notes,
+    )
+    grouped = map(tuple, map(islice, repeat(records), map(len, lists)))
+    fields = ids, names, years, genres, subgenres, map(tuple, refs), grouped
+    return Corpus(tuple(map(Application, *fields)))
+
+
 class _JsonReader:
-    """Reads the data json.loads made of ``text``, each finding where it occurs."""
+    """Reads the data json.loads made of ``text``: lean if no finding can occur
+    in it, and otherwise each finding where it occurs."""
 
     def __init__(self, text: str) -> None:
         self.check = InvariantChecker()
         self._escaped = _BREAK_ESCAPE(text) is not None  # else one_line has nothing to find
 
     def read(self, data: Any) -> Corpus:
+        lean = None if self._escaped else _read_lean(data)
+        if lean is not None:
+            return lean
         if not isinstance(data, dict):
             self.check.error("top level must be an object")
             return Corpus()
@@ -599,8 +663,6 @@ class _JsonReader:
     def _object(self, node: Any, ctx: str, known: frozenset[str]) -> bool:
         """Whether ``node`` is an object; each key it has outside ``known``, and each
         repeat of a key, draws a warning."""
-        if type(node) is dict and node.keys() <= known:  # no _Repeats, no unknown key
-            return True
         if not isinstance(node, dict):
             self.check.error(f"{ctx}: must be an object")
             return False
@@ -659,17 +721,6 @@ class _JsonReader:
         return Application(app_id, name, year, genre, subgenre, tuple(refs), tuple(entities))
 
     def _read_entity(self, node: Any, ctx: str, index: int) -> Entity | None:
-        # The lean test holds only where the located read below would record no
-        # finding; count is tested by exact type, as 1.0 and True find Count(1).
-        if (
-            type(node) is dict and node.keys() <= _ENTITY_KEYS and not self._escaped
-            and type(name := node.get("name")) is str and name.strip()
-            and type(what := node.get("what")) is str and what in _ROLES
-            and type(how := node.get("how")) is str and how in _TANGIBILITIES
-            and (type(count := node.get("count", 1)) is int and count > 0 or count == "many")
-            and type(note := node.get("note")) in _STR_OR_NONE
-        ):
-            return Entity(name, _ROLES[what], _TANGIBILITIES[how], _COUNTS[count], note)
         ctx = f"{ctx}.entities[{index}]"
         if not self._object(node, ctx, _ENTITY_KEYS):
             return None

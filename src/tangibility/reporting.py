@@ -15,6 +15,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Any, Iterable, Iterator
 
 from .analysis import (
@@ -112,15 +113,31 @@ def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     """The matrix as an indented right-aligned table, formatted line by line.
 
     A distance matrix is symmetric, so column j is as wide as id j or the
-    largest value of row j.  Columns of one width share one cell lookup.
+    largest value of row j.  Byte rows with no cell over 99 are formatted one
+    run of equal-width columns at a time, each cell as BCD hex after a blank
+    pad; ids ascend, so there are few runs.  Other rows share one cell lookup
+    per column width.
     """
     ids = [str(i) for i in matrix.ids]
     rows = matrix._distinct
-    widest = [len(str(max(row))) for row in rows]
+    maxima = list(map(max, rows))
+    widest = list(map(len, map(str, maxima)))
     widths = [max(len(i), widest[k]) for i, k in zip(ids, matrix._index)]
-    padded = {width: _Padded(width + 2) for width in set(widths)}
-    columns = [padded[width] for width in widths]
-    cells = ["".join(map(dict.__getitem__, columns, row)) for row in rows]
+    if rows and isinstance(rows[0], bytes) and max(maxima) < 100:
+        runs, start = [], 0  # each run's columns, and the blanks before each of its cells
+        for width, group in groupby(widths):
+            end = start + len(list(group))
+            runs.append((slice(start, end), " " * width))
+            start = end
+        cells = [
+            "".join([pad + bcd[run].hex("|").replace("|", pad) for run, pad in runs])
+            .replace("f", " ")
+            for bcd in (row.translate(_BCD) for row in rows)
+        ]
+    else:
+        padded = {width: _Padded(width + 2) for width in set(widths)}
+        columns = [padded[width] for width in widths]
+        cells = ["".join(map(dict.__getitem__, columns, row)) for row in rows]
     first = max([2, *map(len, ids)])
     yield "  " + "  ".join(["id".rjust(first), *map(str.rjust, ids, widths)])
     for i, k in zip(ids, matrix._index):

@@ -34,7 +34,7 @@ from tangibility import (
 from tangibility import dsl
 from tangibility.dsl import _TOKEN, _lex, _parse_tokens
 from tangibility.golden import GOLDEN_RESOURCE
-from tangibility.model import _COUNTS, Diagnostic, InvariantChecker, SourceSpan
+from tangibility.model import _COUNTS, Diagnostic, SourceSpan
 from test_snapshots import (
     APPLICATION_GRID_DIGEST,
     DIGESTS,
@@ -1368,21 +1368,30 @@ def test_escape_flag_is_the_three_substring_test(text):
 
 
 def test_json_is_read_in_one_pass(monkeypatch):
-    """Each application's id is checked once per read, with or without a warning."""
-    calls = []
-    app_id = InvariantChecker.app_id
+    """Each read parses its text once.  A clean corpus is read lean, with no located
+    application read; an escape or a warning sends it to the located read, which then
+    reads each application once."""
+    parsed, located = [], []
+    loads, read_application = json.loads, dsl._JsonReader._read_application
 
-    def spy(self, where, value, span=None):
-        calls.append(value)
-        return app_id(self, where, value, span)
+    def loads_spy(*args, **kwargs):
+        parsed.append(args[0])
+        return loads(*args, **kwargs)
 
-    def read(text):
-        calls.clear()
+    def read_application_spy(self, node, ctx):
+        located.append(ctx)
+        return read_application(self, node, ctx)
+
+    def read(text, located_reads=0):
+        parsed.clear()
+        located.clear()
         result = import_json(text)
-        assert len(calls) == len(result[0].applications)
+        assert len(parsed) == 1
+        assert len(located) == located_reads
         return result
 
-    monkeypatch.setattr(InvariantChecker, "app_id", spy)
+    monkeypatch.setattr(json, "loads", loads_spy)
+    monkeypatch.setattr(dsl._JsonReader, "_read_application", read_application_spy)
     golden = load_golden()
     golden_json = export_json(golden)
     assert read(golden_json) == (golden, [])
@@ -1391,14 +1400,16 @@ def test_json_is_read_in_one_pass(monkeypatch):
         exported = export_json(corpus)
         assert read(exported) == (corpus, [])
         # Written by another tool: spaced, and non-ASCII text as \u escapes.
-        assert read(json.dumps(json.loads(exported), indent=1)) == (corpus, [])
-    # A warning in the last application: the applications before it are not read again.
+        spaced = json.dumps(loads(exported), indent=1)
+        located_reads = len(corpus.applications) if "\\u" in spaced else 0
+        assert read(spaced, located_reads) == (corpus, [])
+    # A warning in the last application: every application is read located, once.
     last = golden_json.rindex('{"id":') + 1
     where = f"applications[{len(golden.applications) - 1}]"
     warnings = {'"color":"red",': "unknown key 'color'", '"id":1,': "duplicate key 'id'"}
     for field, warning in warnings.items():
         text = golden_json[:last] + field + golden_json[last:]
-        assert read(text) == (golden, [W(f"{where}: {warning}")])
+        assert read(text, len(golden.applications)) == (golden, [W(f"{where}: {warning}")])
 
 
 def test_every_reader_and_hallmark_takes_the_shared_counts():
@@ -1428,7 +1439,7 @@ def test_every_reader_and_hallmark_takes_the_shared_counts():
     exported = export_json(canonical)
     assert "\\u" not in exported and '"color"' not in exported
     assert shared(import_json(exported)[0]) == canonical  # the lean read
-    # An escape, or an unknown key in each entity, sends every entity to the located read.
+    # An escape, or an unknown key in each entity, sends the whole corpus to the located read.
     assert shared(import_json(json.dumps(json.loads(exported)))[0]) == canonical
     colored = import_json(exported.replace('{"name":"e', '{"color":"red","name":"e'))
     assert len(colored[1]) == len(counts)
@@ -1449,7 +1460,7 @@ def test_every_reader_sets_each_records_fields_in_order():
         corpus, findings = _parse_tokens(text)
         assert corpus.applications and findings == []
         exported = export_json(corpus)
-        # An unknown top-level key with a \u escape sends every entity to the located read.
+        # An unknown top-level key with a \u escape sends the whole corpus to the located read.
         located = exported.replace("{", '{"x":"\\u0041",', 1)
         assert import_json(located) == (corpus, [W("unknown key 'x' at top level")])
         reads = [
