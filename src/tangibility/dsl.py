@@ -160,21 +160,21 @@ _TERMS = {"what": ("role", _ROLES), "how": ("tangibility", _TANGIBILITIES)}
 # A string's characters up to its closing quote; a line break ends it early.
 # Unrolled, so that a run of plain characters is one repeat, not one alternation each.
 _STRING_BODY = r'[^"\\\n]*(?:\\["\\][^"\\\n]*)*'
-# One group per token kind, named after it, plus whitespace and comments to
-# skip, and two errors: a string that never closes (ESCAPE: at the backslash
-# of an escape it does not support) and any other character.
-# An identifier is \w+ (isalnum() or "_"); _lex wants isalpha() or "_" first.
+# One group per token kind, named after it (EOF: the end of the text), each after
+# the blanks, line ends and comments it skips, and two errors: a string that never
+# closes (ESCAPE: at the backslash of an escape it does not support) and any other
+# character.  An identifier is \w+ (isalnum() or "_"); _lex wants isalpha() or "_" first.
 _TOKEN = re.compile(
     r"""
-      (?P<NEWLINE> \n )
-    | (?P<SKIP> [ \t]+ | \#[^\n]* )
-    | (?P<STRING> " """ + _STRING_BODY + r""" " )
+    (?: [ \t\n]+ | \#[^\n]* )*
+    (?: (?P<STRING> " """ + _STRING_BODY + r""" " )
     | (?P<UNTERMINATED> " """ + _STRING_BODY + r""" (?P<ESCAPE> \\ )? )
     | (?P<INTEGER> [0-9]+ )
     | (?P<IDENT> \w+ )
     | (?P<LBRACE> \{ ) | (?P<RBRACE> \} ) | (?P<LBRACKET> \[ ) | (?P<RBRACKET> \] )
     | (?P<COLON> : ) | (?P<COMMA> , )
-    | (?P<ERROR> . )
+    | (?P<EOF> \Z )
+    | (?P<ERROR> . ) )
     """,
     re.VERBOSE,
 )
@@ -190,13 +190,14 @@ def _lex(text: str, start: int = 0) -> list[_Token]:
     tokens: list[_Token] = []  # from ``start`` on, placed as in a lex of the whole text
     line, line_start = text.count("\n", 0, start) + 1, text.rfind("\n", 0, start) + 1
     for match in _TOKEN.finditer(text, start):
-        kind, raw = match.lastgroup, match.group()
-        if kind == "NEWLINE":
-            line, line_start = line + 1, match.end()
-            continue
-        if kind == "SKIP":
-            continue
-        column = match.start() - line_start + 1
+        kind = match.lastgroup
+        begin, raw = match.start(kind), match.group(kind)
+        if skipped := text.count("\n", match.start(), begin):  # line ends before the token
+            line, line_start = line + skipped, text.rfind("\n", 0, begin) + 1
+        column = begin - line_start + 1
+        if kind == "EOF":  # the first end: after trailing blanks, \Z matches once more
+            tokens.append(_Token(_TokenKind.EOF, raw, None, line, column))
+            return tokens
         if kind == "UNTERMINATED" and match.group("ESCAPE") is None:
             raise _ParseError("unterminated string", SourceSpan(line, column))
         if kind == "UNTERMINATED":
@@ -214,8 +215,7 @@ def _lex(text: str, start: int = 0) -> list[_Token]:
             except ValueError:  # more digits than sys.get_int_max_str_digits()
                 raise _ParseError(_too_long(), SourceSpan(line, column)) from None
         tokens.append(_Token(_KINDS[kind], raw, value, line, column))
-    tokens.append(_Token(_TokenKind.EOF, "", None, line, len(text) - line_start + 1))
-    return tokens
+    raise AssertionError("_TOKEN matches the end of every text")
 
 
 def _too_long() -> str:
@@ -401,19 +401,15 @@ def _read_canonical(text: str) -> tuple[list[Application], int, InvariantChecker
     sets of seen ids and names, the one record of them, hold theirs."""
     check, applications, pos = InvariantChecker(), [], 0
     ids, names = check._ids, check._names
-    # Each count text's Count, so a read converts a text once: no count, "many", then each met.
-    counts = {None: _COUNTS[1], "many": _COUNTS["many"]}
     while (match := _CANONICAL_APPLICATION.match(text, pos)) is not None:
         name, app_id, year, genre, subgenre, refs = match.groups()
         entities, end = [], match.end()
         while (match := _CANONICAL_ENTITY.match(text, end)) is not None:
             entity, what, how, count, note = match.groups()
-            if text.find("\\", end, stop := match.end()) >= 0:
-                entity, note = _unescape(entity), _unescape(note)
-            if count not in counts:
-                counts[count] = _COUNTS[int(count)]
-            entities.append(Entity(entity, _ROLES[what], _TANGIBILITIES[how], counts[count], note))
-            end = stop
+            count = _COUNTS["many" if count == "many" else int(count or 1)]
+            entity, note = _unescape(entity), _unescape(note)
+            entities.append(Entity(entity, _ROLES[what], _TANGIBILITIES[how], count, note))
+            end = match.end()
         name, app_id = _unescape(name), int(app_id)
         folded = name.strip().casefold()
         # The token parser's findings; as no code point casefolds to "", strip() tests entity names.

@@ -120,10 +120,13 @@ def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
     """
     ids = [str(i) for i in matrix.ids]
     rows = matrix._distinct
-    maxima = list(map(max, rows))
-    widest = list(map(len, map(str, maxima)))
+    if rows and isinstance(rows[0], bytes):  # a cell of 10 or more outlives deleting 0-9, in C
+        ones, twos = bytes(range(10)), bytes(range(100))  # the values of 1, and of up to 2 digits
+        widest = [1 + bool(r.translate(None, ones)) + bool(r.translate(None, twos)) for r in rows]
+    else:
+        widest = list(map(len, map(str, map(max, rows))))
     widths = [max(len(i), widest[k]) for i, k in zip(ids, matrix._index)]
-    if rows and isinstance(rows[0], bytes) and max(maxima) < 100:
+    if rows and isinstance(rows[0], bytes) and max(widest) < 3:
         runs, start = [], 0  # each run's columns, and the blanks before each of its cells
         for width, group in groupby(widths):
             end = start + len(list(group))

@@ -11,7 +11,7 @@ import sys
 from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from corpusgen import JSON_ESCAPES, JSON_MUTATIONS, clean_corpus, random_corpus
@@ -1258,9 +1258,9 @@ _ALTERNATION_TOKEN = re.compile(
 )
 
 
-def _lexed(text):
+def _lexed(text, start=0, lex=_lex):
     try:
-        return _lex(text)
+        return lex(text, start)
     except dsl._ParseError as exc:
         return exc.diagnostic
 
@@ -1279,6 +1279,74 @@ def test_unrolled_string_body_reads_as_the_alternation(text):
         patch.setattr(dsl, "_TOKEN", _ALTERNATION_TOKEN)
         expected = _lexed(text)
     assert _lexed(text) == expected
+
+
+# The lexer before each token skipped its blanks, line ends and comments: one match
+# per line end and per run of blanks or comment, and the end of input appended last.
+_LINE_TOKEN = re.compile(
+    r"""
+      (?P<NEWLINE> \n )
+    | (?P<SKIP> [ \t]+ | \#[^\n]* )
+    | (?P<STRING> " """ + dsl._STRING_BODY + r""" " )
+    | (?P<UNTERMINATED> " """ + dsl._STRING_BODY + r""" (?P<ESCAPE> \\ )? )
+    | (?P<INTEGER> [0-9]+ )
+    | (?P<IDENT> \w+ )
+    | (?P<LBRACE> \{ ) | (?P<RBRACE> \} ) | (?P<LBRACKET> \[ ) | (?P<RBRACKET> \] )
+    | (?P<COLON> : ) | (?P<COMMA> , )
+    | (?P<ERROR> . )
+    """,
+    re.VERBOSE,
+)
+
+
+def _line_lex(text, start=0):
+    tokens = []
+    line, line_start = text.count("\n", 0, start) + 1, text.rfind("\n", 0, start) + 1
+    for match in _LINE_TOKEN.finditer(text, start):
+        kind, raw = match.lastgroup, match.group()
+        if kind == "NEWLINE":
+            line, line_start = line + 1, match.end()
+            continue
+        if kind == "SKIP":
+            continue
+        column = match.start() - line_start + 1
+        if kind == "UNTERMINATED" and match.group("ESCAPE") is None:
+            raise dsl._ParseError("unterminated string", SourceSpan(line, column))
+        if kind == "UNTERMINATED":
+            found = text[match.end() : match.end() + 1] or "end of input"
+            span = SourceSpan(line, column + len(raw) - 1)
+            raise dsl._ParseError(f"unsupported escape '\\{found}'", span)
+        if kind == "ERROR" or kind == "IDENT" and not (raw[0].isalpha() or raw[0] == "_"):
+            raise dsl._ParseError(f"unexpected character {raw[0]!r}", SourceSpan(line, column))
+        value = raw
+        if kind == "STRING":
+            value = dsl._unescape(raw[1:-1])
+        elif kind == "INTEGER":
+            try:
+                value = int(raw)
+            except ValueError:
+                raise dsl._ParseError(dsl._too_long(), SourceSpan(line, column)) from None
+        tokens.append(dsl._Token(dsl._KINDS[kind], raw, value, line, column))
+    tokens.append(dsl._Token(dsl._TokenKind.EOF, "", None, line, len(text) - line_start + 1))
+    return tokens
+
+
+@given(st.text(st.sampled_from(list('a1\u00e9 \t\n#"\\{}:,')), max_size=24))
+@example("a: 1  \t")  # ends in blanks
+@example("{\n \t\n")  # a line of blanks, then a line end
+@example("a # b\n")  # ends in a comment and its line end
+@example("a\n  # b")  # ends in a comment with no final line end
+@example("\n# a\n\t#\n,")  # line ends and comments before a token
+@example("")
+@settings(max_examples=500)
+def test_lexer_skipping_prefixes_reads_as_the_line_by_line_lexer(text):
+    """The same tokens (kind, text, value, line and column), or the same diagnostic,
+    from offset 0, from every line start, and past the end, as the lexer that
+    matched each line end, run of blanks and comment on its own."""
+    for start in (0, *(match.end() for match in re.finditer("\n", text)), len(text) + 1):
+        assert _lexed(text, start) == _lexed(text, start, _line_lex), start
+    # Past the end, where the canonical reader stops after the line end it adds: one EOF.
+    assert [token.kind for token in _lex(text, len(text) + 1)] == [dsl._TokenKind.EOF]
 
 
 # The unescape before it was two str.replace calls.
