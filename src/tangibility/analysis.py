@@ -18,7 +18,6 @@ L1 rows are int tuples, summed pair by pair.
 
 from __future__ import annotations
 
-import enum
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from functools import cache, cached_property
@@ -28,7 +27,7 @@ from typing import Callable, Collection, Iterable, Sequence, Union
 
 from .classify import classify
 from .hallmark import BinaryHallmark, Hallmark, SymbolicCountError, binarize
-from .model import Application, Corpus, Role
+from .model import Application, Corpus, Metric, Role
 from .terms import TERMS, Term
 
 __all__ = [
@@ -56,11 +55,6 @@ CLASS_LABELS = ("I", "II", "III", "IV", "unclassified")
 
 class EmptyCorpusError(ValueError):
     """Raised by statistics that are undefined without entity records."""
-
-
-class Metric(enum.Enum):
-    L1 = "l1"
-    HAMMING = "hamming"
 
 
 @dataclass(frozen=True)

@@ -30,9 +30,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-from .hallmark import BinaryHallmark, Hallmark
+if TYPE_CHECKING:  # only annotations name them, so classifying never loads hallmark
+    from .hallmark import BinaryHallmark, Hallmark
+
+    Vector = Union[Hallmark, BinaryHallmark]
 
 __all__ = [
     "TangibilityClass",
@@ -43,8 +46,6 @@ __all__ = [
     "classify_by_patterns",
     "pattern_table",
 ]
-
-Vector = Union[Hallmark, BinaryHallmark]
 
 
 class TangibilityClass(enum.Enum):

@@ -37,12 +37,9 @@ import sys
 from functools import cache
 from typing import Callable, NoReturn, Sequence
 
-from .analysis import Metric
 from .dsl import _read, _uncollected, export_json, serialize_corpus
 from .golden import load_golden
-from .model import Corpus, Diagnostic
-from .reporting import analytics_report, class_table, clusters_report, hallmark_table, render
-from .terms import UnknownTermError, parse_term
+from .model import Corpus, Diagnostic, Metric
 
 __all__ = ["main"]
 
@@ -133,6 +130,8 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
 
 
 def _cmd_term(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
+    from .terms import UnknownTermError, parse_term
+
     try:
         term = parse_term(args.name)
     except UnknownTermError as exc:
@@ -141,32 +140,57 @@ def _cmd_term(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return _write(f'{term.name} = {term.role.value} × {term.tangibility.value} ("{term.gloss}")\n')
 
 
+# The builders of the commands that render a report.  Each imports reporting, and
+# the analysis it imports, when it runs: validate, export and term never load them.
+def _class_table(corpus: Corpus, args: argparse.Namespace) -> str:
+    from .reporting import class_table, render
+
+    return render(class_table(corpus), args.format)
+
+
+def _hallmark_table(corpus: Corpus, args: argparse.Namespace) -> str:
+    from .reporting import hallmark_table, render
+
+    return render(hallmark_table(corpus), args.format)
+
+
+def _analytics_report(corpus: Corpus, args: argparse.Namespace) -> str:
+    from .reporting import analytics_report, render
+
+    return render(analytics_report(corpus, key=args.key, metric=Metric(args.metric)), args.format)
+
+
+def _clusters_report(corpus: Corpus, args: argparse.Namespace) -> str:
+    from .reporting import clusters_report, render
+
+    return render(clusters_report(corpus, binary=args.binary), args.format)
+
+
 # name -> (help, --format choices, handler).  A command with choices None
 # reads no corpus; one with no choices reads a corpus but takes no --format.
-# Builders look names up at call time, so wrappers set on this module apply.
+# Builders look reporting's names up at call time, so wrappers set on reporting
+# apply, and export's look this module's up.
 _COMMANDS = {
     "validate": ("parse a corpus and report diagnostics", (), _corpus_command(lambda c, a: "")),
     "classify": (
         "tangibility class per application",
         ("text", "csv", "json"),
-        _corpus_command(lambda c, a: render(class_table(c), a.format)),
+        _corpus_command(_class_table),
     ),
     "hallmark": (
         "hallmark vector per application",
         ("text", "csv", "json"),
-        _corpus_command(lambda c, a: render(hallmark_table(c), a.format)),
+        _corpus_command(_hallmark_table),
     ),
     "analyze": (
         "full corpus analytics",
         ("text", "csv", "json", "dot"),
-        _corpus_command(
-            lambda c, a: render(analytics_report(c, key=a.key, metric=Metric(a.metric)), a.format)
-        ),
+        _corpus_command(_analytics_report),
     ),
     "cluster": (
         "applications sharing a hallmark",
         ("text", "csv", "json"),
-        _corpus_command(lambda c, a: render(clusters_report(c, binary=a.binary), a.format)),
+        _corpus_command(_clusters_report),
     ),
     "term": ("expand one of the twelve what-how terms", None, _cmd_term),
     "export": (

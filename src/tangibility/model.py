@@ -71,6 +71,14 @@ class Tangibility(enum.Enum):
     __hash__ = object.__hash__
 
 
+class Metric(enum.Enum):
+    """A distance between hallmarks, for ``analysis.distance_matrix``.  It lives here,
+    not in analysis, so the CLI takes its --metric choices without loading analysis."""
+
+    L1 = "l1"
+    HAMMING = "hamming"
+
+
 @dataclass(frozen=True)
 class Count:
     """Multiplicity of an entity record.

@@ -1,8 +1,14 @@
-"""No module of the package imports a name it never uses."""
+"""No module of the package imports a name it never uses; the package's
+names load their modules on first use; and a launch loads only the modules
+its command runs."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -73,3 +79,110 @@ def test_the_check_finds_an_unused_import_and_counts_every_kind_of_use():
         "        return os.path.sep\n"
     )
     assert _unused_imports(source) == ["line 2: Iterator"]
+
+
+def _fresh(code: str) -> subprocess.CompletedProcess:
+    """``code`` run in a fresh interpreter that imports this package's source."""
+    env = {**os.environ, "PYTHONPATH": str(Path(tangibility.__file__).parent.parent)}
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, env=env)
+
+
+# Checks every public name against the module that defines it, then prints the
+# findings as JSON: run after each import order below.
+NAMESPACE_PROBE = """
+import importlib, inspect, json
+import tangibility
+homes = {}
+for name in tangibility.__all__:
+    value = getattr(tangibility, name)
+    if name != "__version__":
+        home = importlib.import_module(value.__module__)
+        homes[name] = getattr(home, name) is value and home.__name__.startswith("tangibility.")
+star = {}
+exec("from tangibility import *", star)
+import tangibility.reporting, tangibility.classify
+try:
+    tangibility.no_such_name
+    unknown = "no error"
+except AttributeError as error:
+    unknown = str(error)
+print(json.dumps({
+    "homes": homes,
+    "star": sorted(name for name in tangibility.__all__ if star[name] is not getattr(tangibility, name)),
+    "classify": inspect.isfunction(tangibility.classify),
+    "dir": sorted(set(tangibility.__all__) - set(dir(tangibility))),
+    "unknown": unknown,
+}))
+"""
+
+
+@pytest.mark.parametrize(
+    "first",
+    [
+        "import tangibility",
+        "import tangibility.reporting",
+        "import tangibility.classify",
+        "from tangibility import *",
+    ],
+)
+def test_the_package_namespace_in_every_import_order(first):
+    run = _fresh(f"{first}\n{NAMESPACE_PROBE}")
+    assert run.returncode == 0, run.stderr.decode()
+    found = json.loads(run.stdout)
+    assert found["homes"] == dict.fromkeys(found["homes"], True)
+    assert len(found["homes"]) == len(tangibility.__all__) - 1
+    assert found["star"] == []
+    assert found["classify"] is True  # the function, not the submodule of its name
+    assert found["dir"] == []
+    assert found["unknown"] == "module 'tangibility' has no attribute 'no_such_name'"
+
+
+def test_an_unknown_name_is_not_importable():
+    with pytest.raises(ImportError):
+        from tangibility import no_such_name
+    assert not hasattr(tangibility, "no_such_name")
+
+
+# Prints which of the modules that only reports need a launch loaded.
+LOADED = (
+    "import sys\n"
+    "loaded = [m for m in ('reporting', 'analysis', 'hallmark') if f'tangibility.{m}' in sys.modules]\n"
+    "print(' '.join(loaded), file=sys.stderr, end='')\n"
+)
+REPORTING = "reporting analysis hallmark"
+
+
+@pytest.mark.parametrize(
+    "launch, loaded",
+    [
+        ("import tangibility.cli; tangibility.cli.load_golden()", ""),
+        ("from tangibility.cli import main; assert main(['validate', '--golden']) == 0", ""),
+        ("from tangibility.cli import main; assert main(['export', '--golden']) == 0", ""),
+        ("from tangibility.cli import main; assert main(['term', 'tolnible']) == 0", ""),
+        (
+            "from tangibility.cli import main\n"
+            "assert main(['analyze', '--golden', '--format', 'json']) == 0",
+            REPORTING,
+        ),
+        ("from tangibility.cli import main; assert main(['classify', '--golden']) == 0", REPORTING),
+    ],
+)
+def test_a_launch_loads_only_the_modules_its_command_runs(launch, loaded):
+    run = _fresh(f"{launch}\n{LOADED}")
+    assert (run.returncode, run.stderr.decode()) == (0, loaded)
+
+
+def test_the_metric_choices_keep_their_order_without_analysis():
+    # The usage error of --metric loads no analysis: LOADED prints nothing after it.
+    run = _fresh(
+        "from tangibility.cli import main\n"
+        "assert main(['analyze', '--golden', '--metric', 'x']) == 2\n" + LOADED
+    )
+    assert run.returncode == 0, run.stderr.decode()
+    usage, _, error = run.stderr.decode().rpartition("tangibility analyze: error: ")
+    assert usage.startswith("usage: tangibility analyze [-h] [--golden]")
+    assert "[--metric {l1,hamming}]" in usage
+    # Later Pythons print the choices unquoted; the order is the same.
+    assert error.replace("'l1', 'hamming'", "l1, hamming") == (
+        "argument --metric: invalid choice: 'x' (choose from l1, hamming)\n"
+    )
