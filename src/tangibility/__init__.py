@@ -13,7 +13,8 @@ from .classify import classify
 
 __version__ = "0.1.0"
 
-# module -> the public names it is the home of
+# module -> the public names it is the home of, every one but classify: the one
+# written list of what the package exports, read by __getattr__, __dir__ and __all__
 _HOMES = {
     "analysis": (
         "EmptyCorpusError class_distribution cluster_by_binary_hallmark cluster_by_hallmark"
@@ -31,6 +32,7 @@ _HOMES = {
     "terms": "UnknownTermError all_terms parse_term term_of",
 }
 _HOME = {name: module for module, names in _HOMES.items() for name in names.split()}
+__all__ = [*sorted({*_HOME, "classify"}), "__version__"]
 
 
 def __getattr__(name: str) -> object:
@@ -44,47 +46,3 @@ def __getattr__(name: str) -> object:
 
 def __dir__() -> list[str]:
     return sorted({*globals(), *_HOME})
-
-
-__all__ = [
-    "Application",
-    "BinaryHallmark",
-    "Corpus",
-    "Count",
-    "EmptyCorpusError",
-    "Entity",
-    "Hallmark",
-    "Metric",
-    "Role",
-    "Severity",
-    "SymbolicCountError",
-    "Tangibility",
-    "TangibilityClass",
-    "UnknownTermError",
-    "all_terms",
-    "binarize",
-    "class_distribution",
-    "classify",
-    "classify_by_patterns",
-    "cluster_by_binary_hallmark",
-    "cluster_by_hallmark",
-    "compute_hallmark",
-    "cross_tab",
-    "distance_matrix",
-    "distinct_binary_hallmark_count",
-    "distinct_hallmark_count",
-    "export_json",
-    "hamming_distance",
-    "import_json",
-    "l1_distance",
-    "load_golden",
-    "parse_corpus",
-    "parse_term",
-    "pattern_table",
-    "role_distribution",
-    "serialize_corpus",
-    "term_coverage",
-    "term_of",
-    "validate",
-    "__version__",
-]

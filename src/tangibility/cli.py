@@ -12,9 +12,9 @@ its --format choices and its handler; the options of a single command are
 added after it.  Every command that reads a corpus runs the one handler
 ``_corpus_command`` makes from its row's ``build(corpus, args)``, which
 returns the text to write.  The handler reads the input's bytes, prints the
-reader's diagnostics, and builds and writes the report; its one ``except``,
-around reading and building, makes an unreadable input, a corrupted bundled
-corpus or a refused report one error line.  It runs with the cyclic
+reader's diagnostics, and builds and writes the report; its one ``except``
+makes an unreadable input, a corrupted bundled corpus, a refused report or
+memory running out one error line.  It runs with the cyclic
 collector paused (``dsl._uncollected``, as ``load_golden`` does) and leaves
 it as it found it.  The parser is built once per process, on the first
 ``main`` call, and every later call reuses it; handlers are still looked up
@@ -26,7 +26,8 @@ stream object alike) loses them and changes nothing else.
 Exit codes: 0 success; 1 corpus errors (diagnostics go to stderr as
 "file:line:col: severity: message"), a refused report, a corrupted bundled
 corpus, a path the OS refuses or one holding a NUL byte, a closed stdin or
-stdout (fd or stream object), or a failed write, of the help too (each one
+stdout (fd or stream object), a failed write, of the help too, or memory
+running out while reading, building or encoding a report (each one
 "label: error: message" line); 2 usage errors.
 """
 
@@ -80,8 +81,13 @@ def _print_diagnostics(diagnostics: Sequence[Diagnostic], label: str | None = No
 
 
 def _fail(error: Exception, label: str | None = None) -> int:
-    """One "label: error: message" line, in ``error``'s strerror if it has one; exit 1."""
-    _print_diagnostics([Diagnostic.error(getattr(error, "strerror", None) or str(error))], label)
+    """One "label: error: message" line, in ``error``'s strerror if it has one, or
+    "out of memory" for a MemoryError, whose str() is empty; exit 1."""
+    if isinstance(error, MemoryError):
+        message = "out of memory"
+    else:
+        message = getattr(error, "strerror", None) or str(error)
+    _print_diagnostics([Diagnostic.error(message)], label)
     return EXIT_CORPUS_ERROR
 
 
@@ -118,13 +124,12 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
             _print_diagnostics(diagnostics, label)
             if any(d.is_error for d in diagnostics):
                 return EXIT_CORPUS_ERROR
-            text = build(corpus, args)
+            return _write(build(corpus, args), label)
         # RuntimeError: a corrupted bundled corpus.  ValueError: a refused report
         # (SymbolicCountError), a NUL in the path, or a closed stdin object.
-        except (OSError, RuntimeError, ValueError) as error:
+        # MemoryError: an input or report too large to read, build or encode.
+        except (OSError, RuntimeError, ValueError, MemoryError) as error:
             return _fail(error, label)
-        else:
-            return _write(text, label)
 
     return _uncollected(handler)
 

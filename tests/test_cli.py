@@ -8,18 +8,19 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
-from corpusgen import colliding_corpus
+from corpusgen import colliding_corpus, random_corpus
 from hypothesis import given, settings
 from test_snapshots import CASES, run_cli
 
 import tangibility
-from tangibility import classify, cli, export_json, golden
+from tangibility import Corpus, classify, cli, export_json, golden
 from tangibility.analysis import CLASS_LABELS
 from tangibility.cli import main
 
@@ -802,6 +803,39 @@ def test_failed_write(stream, argv, data, code, stderr):
         assert result.stdout == _run(argv, data.encode()).stdout
 
 
+# Runs main on its arguments with the address space capped 64 MB above what the
+# interpreter holds once it has imported tangibility.cli, in that process alone.
+CAPPED_MAIN = """
+import resource, sys
+import tangibility.cli
+with open("/proc/self/status") as status:
+    kib = next(int(line.split()[1]) for line in status if line.startswith("VmSize:"))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, ((kib + 64 * 1024) * 1024, hard))
+sys.exit(tangibility.cli.main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_a_report_too_large_for_memory_is_one_error_line():
+    """About 3,000 applications, whose text analyze needs about 180 MB: under
+    the cap it is one error line and exit 1, not a MemoryError traceback."""
+    corpus = random_corpus(random.Random(0), max_apps=3600, min_apps=3600, allow_many=False)
+    data = export_json(Corpus(tuple(app for app in corpus.applications if app.entities)))
+    env = {**os.environ, "PYTHONPATH": str(Path(tangibility.__file__).parent.parent)}
+    result = subprocess.run(
+        [sys.executable, "-c", CAPPED_MAIN, "analyze", "-"],
+        input=data.encode(),
+        capture_output=True,
+        env=env,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == (
+        1,
+        b"",
+        b"<stdin>: error: out of memory\n",
+    )
+
+
 def test_one_writer():
     """No module calls print, and in cli.py only _emit reads sys.stdout or
     sys.stderr, so every byte the CLI prints takes one path."""
@@ -903,6 +937,35 @@ def test_refused_path_and_closed_stream_objects(monkeypatch, closed, argv, data,
         assert stdout == _main_on(monkeypatch, argv, data)[1]
     elif closed != "stdout":
         assert stdout == b""
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+class _Unencodable(str):
+    def encode(self, *args):
+        _out_of_memory()
+
+
+@pytest.mark.parametrize(
+    "name, replacement",
+    [
+        ("_read", _out_of_memory),
+        ("serialize_corpus", _out_of_memory),
+        ("serialize_corpus", lambda corpus: _Unencodable(GOOD)),
+    ],
+    ids=["read", "build", "encode"],
+)
+def test_out_of_memory_is_one_error_line(monkeypatch, name, replacement):
+    """Reading the input, building the report and encoding it are each one
+    error line and exit 1 when memory runs out, with nothing on stdout."""
+    monkeypatch.setattr(cli, name, replacement)
+    assert _main_on(monkeypatch, ["export", "-"], GOOD) == (
+        1,
+        b"",
+        b"<stdin>: error: out of memory\n",
+    )
 
 
 @pytest.mark.parametrize("collecting", [True, False], ids=["enabled", "disabled"])
