@@ -6,7 +6,12 @@ deterministic (rows in id order, "\\n" newlines); hallmark components print
 as "N" in text and as "many" in CSV and JSON, but a cluster's key, one CSV
 cell, prints in its text form.  Only the renderers print a missing genre or
 subgenre, as "(none)".  Each distinct distance-matrix row is formatted once,
-from its bytes, and reused by every application sharing it.
+from its bytes, and reused by every application sharing it.  A byte row with
+no cell over 99 is formatted by whole-row C calls: its BCD bytes (`_BCD`, one
+digit per hex nibble, "f" for a blank) give the CSV and JSON cells as its hex
+with "," between bytes and every "f" deleted (`_matrix_cells`), and the text
+lines one run of equal-width columns at a time, through one reused buffer of
+pad bytes per run (`_matrix_lines`).  DOT quotes each label once.
 """
 
 from __future__ import annotations
@@ -66,6 +71,7 @@ _TERM_NAMES = [term.name for term in TERMS]
 _json = json.JSONEncoder(separators=(",", ":"), ensure_ascii=False).encode
 # Distance v < 100 as a byte whose hex reads v's digits ("f" is a blank); 100 and up as "ee".
 _BCD = bytes.fromhex("".join(f"{v:f>2}" for v in range(100))).ljust(256, b"\xee")
+_NO_F = str.maketrans("", "", "f")  # deletes BCD blanks in one C pass
 
 
 def _table_lines(
@@ -102,7 +108,7 @@ def _matrix_cells(matrix: DistanceMatrix) -> list[str]:
     """Each distinct row's cells joined by commas, formatted once per row."""
     rows = matrix._distinct
     if rows and isinstance(rows[0], bytes):  # BCD hex, unless a cell is 100 or more
-        cells = [row.translate(_BCD).hex(",").replace("f", "") for row in rows]
+        cells = [row.translate(_BCD).hex(",").translate(_NO_F) for row in rows]
         if not any("e" in row for row in cells):
             return cells
     strings = _Padded(0)
@@ -114,8 +120,9 @@ def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
 
     A distance matrix is symmetric, so column j is as wide as id j or the
     largest value of row j.  Byte rows with no cell over 99 are formatted one
-    run of equal-width columns at a time, each cell as BCD hex after a blank
-    pad; ids ascend, so there are few runs.  Other rows share one cell lookup
+    run of equal-width columns at a time (ids ascend, so there are few runs):
+    a cell of width w is w // 2 pad bytes, "ff" in hex, and its BCD byte, after
+    a blank from hex's separator if w is odd.  Other rows share one cell lookup
     per column width.
     """
     ids = [str(i) for i in matrix.ids]
@@ -127,16 +134,19 @@ def _matrix_lines(matrix: DistanceMatrix) -> Iterator[str]:
         widest = list(map(len, map(str, map(max, rows))))
     widths = [max(len(i), widest[k]) for i, k in zip(ids, matrix._index)]
     if rows and isinstance(rows[0], bytes) and max(widest) < 3:
-        runs, start = [], 0  # each run's columns, and the blanks before each of its cells
+        runs, start = [], 0  # each run's columns, reused buffer, pad bytes per cell, parity
         for width, group in groupby(widths):
-            end = start + len(list(group))
-            runs.append((slice(start, end), " " * width))
+            end, pad = start + len(list(group)), width // 2
+            lanes = bytearray(b"\xff" * (end - start) * (pad + 1))
+            runs.append((slice(start, end), lanes, pad, width % 2))
             start = end
-        cells = [
-            "".join([pad + bcd[run].hex("|").replace("|", pad) for run, pad in runs])
-            .replace("f", " ")
-            for bcd in (row.translate(_BCD) for row in rows)
-        ]
+        cells = []
+        for row in rows:
+            bcd, parts = row.translate(_BCD), []
+            for run, lanes, pad, odd in runs:
+                lanes[pad :: pad + 1] = bcd[run]
+                parts.append(" " + lanes.hex(" ", pad + 1) if odd else lanes.hex())
+            cells.append("".join(parts).replace("f", " "))
     else:
         padded = {width: _Padded(width + 2) for width in set(widths)}
         columns = [padded[width] for width in widths]
@@ -483,25 +493,28 @@ def render_dot(report: Any) -> str:
     if not report.apps:
         return "digraph corpus {}\n"
 
-    # Nodes are keyed by printed label, so a missing genre and one named "(none)" share one.
+    # Nodes are keyed by printed label, so a missing genre and one named "(none)" share
+    # one.  Each label is quoted once.
     genres = [_key_label(app.genre) for app in report.apps]
     subgenres = [_key_label(app.subgenre) for app in report.apps]
-    occupied = [label for label in CLASS_LABELS if label in report.classes]
+    quoted = {label: _dot_quote(label) for label in {*genres, *subgenres}}
+    names = [_dot_quote(app.name) for app in report.apps]
+    classes = {label: _class_node(label) for label in CLASS_LABELS if label in report.classes}
 
     lines = ["digraph corpus {", "  rankdir=LR;"]
     for group in (
-        [_dot_quote(g) for g in sorted(set(genres))],
-        [_dot_quote(s) for s in sorted(set(subgenres))],
-        [_dot_quote(a.name) for a in report.apps],
-        [_class_node(label) for label in occupied],
+        [quoted[g] for g in sorted(set(genres))],
+        [quoted[s] for s in sorted(set(subgenres))],
+        names,
+        list(classes.values()),
     ):
         lines.append("  { rank=same; " + "; ".join(group) + "; }")
     for genre, subgenre in sorted(set(zip(genres, subgenres))):
-        lines.append(f"  {_dot_quote(genre)} -> {_dot_quote(subgenre)};")
-    for subgenre, app in zip(subgenres, report.apps):
-        lines.append(f"  {_dot_quote(subgenre)} -> {_dot_quote(app.name)};")
-    for app, label in zip(report.apps, report.classes):
-        lines.append(f"  {_dot_quote(app.name)} -> {_class_node(label)};")
+        lines.append(f"  {quoted[genre]} -> {quoted[subgenre]};")
+    for subgenre, name in zip(subgenres, names):
+        lines.append(f"  {quoted[subgenre]} -> {name};")
+    for name, label in zip(names, report.classes):
+        lines.append(f"  {name} -> {classes[label]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -1542,3 +1542,142 @@ def test_every_reader_sets_each_records_fields_in_order():
             for app in applications:
                 assert list(vars(app)) == app_fields
                 assert all(list(vars(entity)) == entity_fields for entity in app.entities)
+
+
+def test_a_text_ending_in_a_newline_is_read_without_a_copy(monkeypatch):
+    """The canonical reader gets the caller's text itself when it ends with a newline,
+    and a copy ending with one only when it does not."""
+    seen = []
+    read_canonical = dsl._read_canonical
+
+    def spy(text):
+        seen.append(text)
+        return read_canonical(text)
+
+    monkeypatch.setattr(dsl, "_read_canonical", spy)
+    text = _canonical_text(0)
+    corpus, findings = parse_corpus(text)
+    assert corpus.applications and findings == []
+    assert seen.pop() is text
+    assert parse_corpus(text.removesuffix("\n")) == (corpus, [])
+    assert seen.pop() == text
+
+
+def _reference_export_json(corpus):
+    """export_json's former form: one dict per application and entity, and
+    json.dumps of the tree."""
+    applications = []
+    for app in corpus.applications:
+        record = {"id": app.id, "name": app.name}
+        if app.year is not None:
+            record["year"] = app.year
+        if app.genre is not None:
+            record["genre"] = app.genre
+        if app.subgenre is not None:
+            record["subgenre"] = app.subgenre
+        record["refs"] = list(app.refs)
+        record["entities"] = entities = []
+        for e in app.entities:
+            count = e.count.value
+            entity = {
+                "name": e.name,
+                "what": dsl._TERM_VALUES[e.role],
+                "how": dsl._TERM_VALUES[e.tangibility],
+                "count": "many" if count is None else count,
+            }
+            if e.note is not None:
+                entity["note"] = e.note
+            entities.append(entity)
+        applications.append(record)
+    return json.dumps({"applications": applications}, separators=(",", ":"), ensure_ascii=False)
+
+
+def _written(write, corpus):
+    """What ``write`` returns for ``corpus``, or the type of what it raises."""
+    try:
+        return write(corpus)
+    except Exception as exc:
+        return type(exc)
+
+
+# Strings json escapes, or writes as they are: a quote, a backslash, control
+# characters, U+2028, a lone surrogate, non-ASCII text, and any character.
+_HOSTILE_TEXT = st.text(
+    st.sampled_from(['"', "\\", "\n", "\x00", "\x1f", "\x7f", " ", "\ud800", "é", "\U0001f600"])
+    | st.characters(),
+    max_size=8,
+)
+_JSON_ENTITIES = st.builds(
+    Entity,
+    _HOSTILE_TEXT,
+    st.sampled_from(Role),
+    st.sampled_from(Tangibility),
+    st.sampled_from([Count.MANY, _COUNTS[1], _COUNTS[63]])
+    | st.builds(Count, st.integers(0, 10**20)),
+    st.none() | _HOSTILE_TEXT,
+)
+_JSON_APPLICATIONS = st.builds(
+    Application,
+    st.integers(1, 2**63),
+    _HOSTILE_TEXT,
+    st.none() | st.integers(0, 3000),
+    st.none() | _HOSTILE_TEXT,
+    st.none() | _HOSTILE_TEXT,
+    st.lists(_HOSTILE_TEXT, max_size=3).map(tuple),
+    st.lists(_JSON_ENTITIES, max_size=4).map(tuple),
+)
+
+
+@given(st.lists(_JSON_APPLICATIONS, max_size=4).map(tuple))
+@settings(max_examples=200, deadline=None)
+def test_export_json_writes_what_json_dumps_wrote(applications):
+    corpus = Corpus(applications)
+    assert export_json(corpus) == _reference_export_json(corpus)
+
+
+class _Str(str):
+    def __str__(self):
+        return "not the value"
+
+
+class _Int(int):
+    def __str__(self):
+        return "not the value"
+
+    __repr__ = __str__
+
+
+_PLAIN_ENTITY = Entity("e", Role.DATUM, Tangibility.TANGIBLE)
+
+
+@pytest.mark.parametrize(
+    "app",
+    [
+        Application(True, "a"),
+        Application(1, "a", year=1999.0),
+        Application(1, "a", year=float("nan")),
+        Application(1, 5),
+        Application(1, None, genre=2.5, subgenre=False),
+        Application(_Int(7), _Str('q"\\'), year=_Int(1999), genre=_Str("g"), refs=(_Str("r"), 3)),
+        Application(1, "a", refs=["r", None], entities=[_PLAIN_ENTITY]),
+        Application(1, "a", entities=(Entity(5, Role.TOOL, Tangibility.GRASPABLE, note=1.5),)),
+        Application(
+            1, "a", entities=(Entity(_Str("e"), Role.TOOL, Tangibility.GRASPABLE, Count(_Int(3))),)
+        ),
+        Application(1, "a", entities=(Entity("e", Tangibility.TANGIBLE, Role.DATUM),)),
+        Application(1, "a", entities=(Entity("e", "datum", Tangibility.TANGIBLE),)),
+        Application(1, object()),
+        Application(1, "a", year=10**5000),
+        Application(1, "a", genre={"k": (1, "v")}),
+    ],
+    ids=[
+        "bool id", "float year", "nan year", "int name", "float genre, bool subgenre",
+        "str and int subclasses", "lists", "int entity name, float note", "subclass count",
+        "swapped terms", "str role", "object name", "huge year", "dict genre",
+    ],
+)
+def test_export_json_writes_any_library_value_as_json_dumps_did(app):
+    """Values that no reader builds come out as json.dumps wrote them, or raise the
+    same type of exception."""
+    corpus = Corpus((app, Application(2, "b", entities=(_PLAIN_ENTITY,))))
+    assert _written(export_json, corpus) == _written(_reference_export_json, corpus)

@@ -363,11 +363,18 @@ def _reference_matrix(matrix) -> tuple[list[str], str]:
 
 # Masks by id.  0x00F, 0x03F, 0x07F and 0x0F0 are within 9 of every mask used
 # here, and 0x000 and 0x001 are 12 and 11 from 0xFFF: ids 1-9 alternate
-# one-digit and two-digit columns.
+# one-digit and two-digit columns.  Ids of 1-7 digits give columns of every
+# width up to 7, so cells with odd and even pads.
 RUNS = {
     1: 0x03F, 2: 0x000, 3: 0x00F, 4: 0xFFF, 5: 0x03F, 6: 0x000, 7: 0x0F0, 8: 0x001, 9: 0x07F,
     10: 0x00F, 11: 0xFFF, 99: 0x03F, 100: 0x000, 101: 0x0F0, 999: 0x001, 1000: 0xFFF, 1001: 0x03F,
+    9_999: 0x0F0, 10_000: 0x000, 99_999: 0xFFF, 100_000: 0x001, 999_999: 0x03F, 1_000_001: 0x00F,
 }
+# Every id width of RUNS, and the ids on either side of a change of width.
+ID_POOL = [
+    *range(1, 13), 98, 99, 100, 101, 999, 1000, 1001,
+    9_999, 10_000, 99_999, 100_000, 999_999, 1_000_001,
+]
 
 
 class TestMatrixFormats:
@@ -389,7 +396,10 @@ class TestMatrixFormats:
     def test_runs_of_widths_and_id_boundaries(self, metric):
         matrix, lines = self._check(_vector_corpus({i: _bits(m) for i, m in RUNS.items()}), metric)
         if metric is Metric.HAMMING:
-            header = "    id  1   2  3   4  5   6  7   8  9  10  11  99  100  101  999  1000  1001"
+            header = (
+                "       id  1   2  3   4  5   6  7   8  9  10  11  99  100  101  999  1000  1001"
+                "  9999  10000  99999  100000  999999  1000001"
+            )
             assert lines[0] == header
             assert len(set(matrix._distinct)) == len(matrix._distinct) == 7
 
@@ -416,9 +426,9 @@ class TestMatrixFormats:
 
     @given(
         st.dictionaries(
-            st.sampled_from([*range(1, 13), 98, 99, 100, 101, 999, 1000, 1001]),
+            st.sampled_from(ID_POOL),
             st.integers(0, 4095),
-            max_size=17,
+            max_size=len(RUNS),
         )
     )
     @settings(max_examples=60, deadline=None)
