@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import ast
 import csv
 import gc
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from test_snapshots import CASES, run_cli
 
 import tangibility
-from tangibility import Corpus, classify, cli, export_json, golden
+from tangibility import Corpus, Metric, classify, cli, export_json, golden
 from tangibility.analysis import CLASS_LABELS
 from tangibility.cli import main
 
@@ -432,6 +433,130 @@ def test_option_defaults(short, explicit, capsys):
     default = capsys.readouterr()
     assert main(explicit.split()) == 0
     assert capsys.readouterr() == default
+
+
+# The command surface's former home: a table of help and --format choices, with
+# each command's own options added after the loop over it.  Kept as the reference
+# the built parser's help, usage, usage errors and parsed values are compared with.
+_REFERENCE_COMMANDS = {
+    "validate": ("parse a corpus and report diagnostics", ()),
+    "classify": ("tangibility class per application", ("text", "csv", "json")),
+    "hallmark": ("hallmark vector per application", ("text", "csv", "json")),
+    "analyze": ("full corpus analytics", ("text", "csv", "json", "dot")),
+    "cluster": ("applications sharing a hallmark", ("text", "csv", "json")),
+    "term": ("expand one of the twelve what-how terms", None),
+    "export": ("re-emit a corpus canonically", ("text", "json")),
+}
+
+
+def _reference_parser() -> argparse.ArgumentParser:
+    parser = cli._Parser(
+        prog="tangibility",
+        description="Classify tangible-interface specimens and analyze annotated corpora.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, formats) in _REFERENCE_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(parser=p)  # the handler's own parser, for its usage errors
+        if formats is None:
+            continue
+        p.add_argument("input", nargs="?", help="corpus file, or '-' for stdin")
+        p.add_argument("--golden", action="store_true", help="use the bundled reference corpus")
+        if formats:
+            p.add_argument(
+                "--format", choices=formats, default="text", help="output format (default: text)"
+            )
+
+    commands = sub.choices  # each command's parser, by name
+    commands["analyze"].add_argument(
+        "--key",
+        choices=("genre", "subgenre"),
+        default="genre",
+        help="cross-tab grouping key (default: genre)",
+    )
+    commands["analyze"].add_argument(
+        "--metric",
+        choices=[metric.value for metric in Metric],
+        default="hamming",
+        help="distance metric (default: hamming)",
+    )
+    commands["cluster"].add_argument(
+        "--binary", action="store_true", help="cluster on binarized hallmarks"
+    )
+    commands["term"].add_argument("name", help="term name, e.g. tolnible")
+    return parser
+
+
+def _commands(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    """Each command's parser, by name, in the order they were added."""
+    (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_help_and_usage_match_the_reference():
+    built, reference = cli._build_parser.__wrapped__(), _reference_parser()
+    assert built.format_help() == reference.format_help()
+    assert built.format_usage() == reference.format_usage()
+    commands, expected = _commands(built), _commands(reference)
+    assert list(commands) == list(expected) == list(_REFERENCE_COMMANDS)
+    for name, command in commands.items():
+        assert command.format_help() == expected[name].format_help(), name
+        assert command.format_usage() == expected[name].format_usage(), name
+
+
+def _parsed(parser: argparse.ArgumentParser, argv: list[str], capsys) -> tuple:
+    """The values parsing ``argv`` gives, without the command's parser, or its
+    exit code; with what it printed."""
+    try:
+        values = vars(parser.parse_args(argv))
+        values.pop("parser")
+    except SystemExit as exc:
+        values = {"exit": exc.code}
+    return values, capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", dict.fromkeys(" ".join(argv) for argv in SEQUENCE))
+def test_parsed_values_match_the_reference(argv, capsys):
+    built = _parsed(cli._build_parser.__wrapped__(), argv.split(), capsys)
+    assert built == _parsed(_reference_parser(), argv.split(), capsys)
+
+
+# A report command's reporting builder, which bench/tracing.py wraps as one span.
+BUILDERS = {
+    "classify": "class_table",
+    "hallmark": "hallmark_table",
+    "analyze": "analytics_report",
+    "cluster": "clusters_report",
+}
+
+
+@pytest.mark.parametrize(
+    "command, fmt", [(cmd, fmt) for cmd in BUILDERS for fmt in FORMATS[cmd]]
+)
+def test_report_functions_are_looked_up_when_a_command_runs(command, fmt, monkeypatch, capsys):
+    """Wrappers set on reporting after the CLI is imported see each report
+    command's one builder call and one render call, in its format."""
+    assert main([command, "--golden", "--format", fmt]) == 0
+    expected = capsys.readouterr()
+    from tangibility import reporting
+
+    calls = []
+
+    def recording(name):
+        function = getattr(reporting, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[-1]))
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name in (BUILDERS[command], "render"):
+        monkeypatch.setattr(reporting, name, recording(name))
+    assert main([command, "--golden", "--format", fmt]) == 0
+    assert capsys.readouterr() == expected
+    assert [name for name, _ in calls] == [BUILDERS[command], "render"]
+    assert calls[-1][1] == fmt
 
 
 class TestInputEncoding:
