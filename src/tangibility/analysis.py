@@ -165,12 +165,14 @@ def distinct_binary_hallmark_count(corpus: Corpus) -> int:
     return len({mark.mask for mark in corpus.hallmarks})
 
 
-def distance_matrix(corpus: Corpus, metric: Metric) -> DistanceMatrix:
+def distance_matrix(corpus: Corpus, metric: Metric | str) -> DistanceMatrix:
     """Pairwise distances between applications, in ascending id order.
 
-    The L1 metric needs exact components, so a corpus containing a "many"
-    raises SymbolicCountError naming the offending application.
+    ``metric`` is a Metric or its value; anything else raises ValueError.  The
+    L1 metric needs exact components, so a corpus containing a "many" raises
+    SymbolicCountError naming the offending application.
     """
+    metric = Metric(metric)  # a member as is, its value as the member
     pairs = corpus._by_id
     if metric is Metric.L1:
         for app, mark in pairs:

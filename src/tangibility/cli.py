@@ -8,7 +8,7 @@ is JSON interchange, anything else the annotation format; both readers take
 "\\r\\n" and a lone "\\r" as a line end.
 
 The commands come from one table, ``_COMMANDS``, which gives each its help,
-its --format choices and its handler; the options of a single command are
+its --format choices, its own arguments and its handler; no argument is
 added after it.  Every command that reads a corpus runs the one handler
 ``_corpus_command`` makes from its row's ``build(corpus, args)``, which
 returns the text to write.  The handler reads the input's bytes, prints the
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from functools import cache
+from functools import cache, partial
 from typing import Callable, NoReturn, Sequence
 
 from .dsl import _read, _uncollected, export_json, serialize_corpus
@@ -112,15 +112,13 @@ def _corpus_command(build: Callable[[Corpus, argparse.Namespace], str]) -> Calla
         try:
             if args.golden:
                 corpus, diagnostics = load_golden(), []
+            elif args.input != "-":
+                with open(args.input, "rb") as handle:
+                    corpus, diagnostics = _read(handle.read())
+            elif getattr(sys.stdin, "buffer", None) is None:  # fd 0 closed, or text-only
+                raise OSError("standard input is closed")
             else:
-                if args.input != "-":
-                    with open(args.input, "rb") as handle:
-                        data = handle.read()
-                elif getattr(sys.stdin, "buffer", None) is None:  # fd 0 closed, or text-only
-                    raise OSError("standard input is closed")
-                else:
-                    data = sys.stdin.buffer.read()
-                corpus, diagnostics = _read(data)
+                corpus, diagnostics = _read(sys.stdin.buffer.read())
             _print_diagnostics(diagnostics, label)
             if any(d.is_error for d in diagnostics):
                 return EXIT_CORPUS_ERROR
@@ -145,62 +143,67 @@ def _cmd_term(args: argparse.Namespace, parser: argparse.ArgumentParser) -> int:
     return _write(f'{term.name} = {term.role.value} × {term.tangibility.value} ("{term.gloss}")\n')
 
 
-# The builders of the commands that render a report.  Each imports reporting, and
-# the analysis it imports, when it runs: validate, export and term never load them.
-def _class_table(corpus: Corpus, args: argparse.Namespace) -> str:
-    from .reporting import class_table, render
+def _report(name: str, corpus: Corpus, args: argparse.Namespace) -> str:
+    """``reporting.<name>`` of the corpus and the command's own arguments, by dest, in
+    ``args.format``.  Reporting, and the analysis it imports, load here, at call time,
+    and both functions are looked up then, so wrappers set on reporting apply."""
+    from . import reporting
 
-    return render(class_table(corpus), args.format)
-
-
-def _hallmark_table(corpus: Corpus, args: argparse.Namespace) -> str:
-    from .reporting import hallmark_table, render
-
-    return render(hallmark_table(corpus), args.format)
+    dests = (flag.lstrip("-") for flag in _COMMANDS[args.command][2])
+    report = getattr(reporting, name)(corpus, **{dest: getattr(args, dest) for dest in dests})
+    return reporting.render(report, args.format)
 
 
-def _analytics_report(corpus: Corpus, args: argparse.Namespace) -> str:
-    from .reporting import analytics_report, render
-
-    return render(analytics_report(corpus, key=args.key, metric=Metric(args.metric)), args.format)
-
-
-def _clusters_report(corpus: Corpus, args: argparse.Namespace) -> str:
-    from .reporting import clusters_report, render
-
-    return render(clusters_report(corpus, binary=args.binary), args.format)
-
-
-# name -> (help, --format choices, handler).  A command with choices None
-# reads no corpus; one with no choices reads a corpus but takes no --format.
-# Builders look reporting's names up at call time, so wrappers set on reporting
-# apply, and export's look this module's up.
+# name -> (help, --format choices, own arguments, handler).  Choices None read no
+# corpus, and no choices take no --format.  Own arguments map a flag (its dest without
+# dashes) to add_argument keywords.  Export looks this module's writers up when it runs.
 _COMMANDS = {
-    "validate": ("parse a corpus and report diagnostics", (), _corpus_command(lambda c, a: "")),
+    "validate": ("parse a corpus and report diagnostics", (), {}, _corpus_command(lambda c, a: "")),
     "classify": (
         "tangibility class per application",
         ("text", "csv", "json"),
-        _corpus_command(_class_table),
+        {},
+        _corpus_command(partial(_report, "class_table")),
     ),
     "hallmark": (
         "hallmark vector per application",
         ("text", "csv", "json"),
-        _corpus_command(_hallmark_table),
+        {},
+        _corpus_command(partial(_report, "hallmark_table")),
     ),
     "analyze": (
         "full corpus analytics",
         ("text", "csv", "json", "dot"),
-        _corpus_command(_analytics_report),
+        {
+            "--key": {
+                "choices": ("genre", "subgenre"),
+                "default": "genre",
+                "help": "cross-tab grouping key (default: genre)",
+            },
+            "--metric": {
+                "choices": [metric.value for metric in Metric],
+                "default": "hamming",
+                "help": "distance metric (default: hamming)",
+            },
+        },
+        _corpus_command(partial(_report, "analytics_report")),
     ),
     "cluster": (
         "applications sharing a hallmark",
         ("text", "csv", "json"),
-        _corpus_command(_clusters_report),
+        {"--binary": {"action": "store_true", "help": "cluster on binarized hallmarks"}},
+        _corpus_command(partial(_report, "clusters_report")),
     ),
-    "term": ("expand one of the twelve what-how terms", None, _cmd_term),
+    "term": (
+        "expand one of the twelve what-how terms",
+        None,
+        {"name": {"help": "term name, e.g. tolnible"}},
+        _cmd_term,
+    ),
     "export": (
         "re-emit a corpus canonically",
         ("text", "json"),
+        {},
         _corpus_command(
             lambda c, a: export_json(c) + "\n" if a.format == "json" else serialize_corpus(c)
         ),
@@ -226,43 +229,25 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Classify tangible-interface specimens and analyze annotated corpora.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, formats, _) in _COMMANDS.items():
+    for name, (help_text, formats, own, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.set_defaults(parser=p)  # the handler's own parser, for its usage errors
-        if formats is None:
-            continue
-        p.add_argument("input", nargs="?", help="corpus file, or '-' for stdin")
-        p.add_argument("--golden", action="store_true", help="use the bundled reference corpus")
+        if formats is not None:
+            p.add_argument("input", nargs="?", help="corpus file, or '-' for stdin")
+            p.add_argument("--golden", action="store_true", help="use the bundled reference corpus")
         if formats:
             p.add_argument(
                 "--format", choices=formats, default="text", help="output format (default: text)"
             )
-
-    commands = sub.choices  # each command's parser, by name
-    commands["analyze"].add_argument(
-        "--key",
-        choices=("genre", "subgenre"),
-        default="genre",
-        help="cross-tab grouping key (default: genre)",
-    )
-    commands["analyze"].add_argument(
-        "--metric",
-        choices=[metric.value for metric in Metric],
-        default="hamming",
-        help="distance metric (default: hamming)",
-    )
-    commands["cluster"].add_argument(
-        "--binary", action="store_true", help="cluster on binarized hallmarks"
-    )
-    commands["term"].add_argument("name", help="term name, e.g. tolnible")
+        for flag, keywords in own.items():
+            p.add_argument(flag, **keywords)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command][2](args, args.parser)
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command][3](args, args.parser)
     except SystemExit as exc:  # a usage error, from parsing or from a command handler
         return int(exc.code) if exc.code is not None else EXIT_OK
 

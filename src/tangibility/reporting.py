@@ -411,7 +411,7 @@ def clusters_report(corpus: Corpus, binary: bool = False) -> Clusters:
 
 
 def analytics_report(
-    corpus: Corpus, key: str = "genre", metric: Metric = Metric.HAMMING
+    corpus: Corpus, key: str = "genre", metric: Metric | str = Metric.HAMMING
 ) -> Analytics:
     # Every section reads the hallmarks, and most the id order, so both are
     # computed outside any one section's time.  The matrix comes first: L1

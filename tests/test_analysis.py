@@ -304,6 +304,17 @@ class TestDistanceMatrix:
         matrix = distance_matrix(corpus, Metric.L1)
         assert matrix.rows == ((0, 2), (2, 0))
 
+    def test_a_metric_is_read_from_its_value(self):
+        with pytest.raises(SymbolicCountError, match="application 9"):
+            distance_matrix(load_golden(), "l1")
+        matrix = distance_matrix(load_golden(), "hamming")
+        assert matrix.metric is Metric.HAMMING
+        assert matrix == distance_matrix(load_golden(), Metric.HAMMING)
+        corpus = Corpus((_app(1, "datible"), _app(2, "datible", "datible", "opable")))
+        assert distance_matrix(corpus, "l1") == distance_matrix(corpus, Metric.L1)
+        with pytest.raises(ValueError, match="'x' is not a valid Metric"):
+            distance_matrix(load_golden(), "x")
+
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
     def test_matrix_properties(self, seed):

@@ -504,6 +504,21 @@ def test_help_and_usage_match_the_reference():
         assert command.format_usage() == expected[name].format_usage(), name
 
 
+def test_each_command_takes_only_its_rows_arguments():
+    """A command's arguments are input, --golden and --format as its row's choices
+    say, then its row's own arguments, each with the dest report builders read:
+    no argument is added outside the table."""
+    commands = _commands(cli._build_parser.__wrapped__())
+    assert list(commands) == list(cli._COMMANDS)
+    for name, (_, formats, own, _) in cli._COMMANDS.items():
+        shared = [] if formats is None else ["input", "--golden"] + ["--format"] * bool(formats)
+        actions = {(a.option_strings or [a.dest])[-1]: a for a in commands[name]._actions}
+        assert list(actions) == ["--help", *shared, *own], name
+        if formats:
+            assert actions["--format"].choices == formats
+        assert [actions[flag].dest for flag in own] == [flag.lstrip("-") for flag in own]
+
+
 def _parsed(parser: argparse.ArgumentParser, argv: list[str], capsys) -> tuple:
     """The values parsing ``argv`` gives, without the command's parser, or its
     exit code; with what it printed."""

@@ -199,6 +199,13 @@ def test_l1_refuses_many_before_building_other_sections(monkeypatch):
         analytics_report(load_golden(), metric=Metric.L1)
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json", "dot"])
+def test_a_metric_given_by_value_renders_as_its_member(fmt):
+    corpus = load_golden()
+    by_value = analytics_report(corpus, metric="hamming")
+    assert render(by_value, fmt) == render(analytics_report(corpus, metric=Metric.HAMMING), fmt)
+
+
 def _id_ordered_outputs(corpus: Corpus) -> Iterator[str]:
     """Every id-ordered report of ``corpus`` in every format, or L1's refusal."""
     for report in (
