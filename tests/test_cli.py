@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from test_snapshots import CASES, run_cli
 
 import tangibility
-from tangibility import Corpus, Metric, classify, cli, export_json, golden
+from tangibility import Corpus, Metric, classify, cli, export_json, golden, reporting
 from tangibility.analysis import CLASS_LABELS
 from tangibility.cli import main
 
@@ -545,16 +545,12 @@ BUILDERS = {
 }
 
 
-@pytest.mark.parametrize(
-    "command, fmt", [(cmd, fmt) for cmd in BUILDERS for fmt in FORMATS[cmd]]
-)
+@pytest.mark.parametrize("command, fmt", [(cmd, fmt) for cmd in BUILDERS for fmt in FORMATS[cmd]])
 def test_report_functions_are_looked_up_when_a_command_runs(command, fmt, monkeypatch, capsys):
     """Wrappers set on reporting after the CLI is imported see each report
     command's one builder call and one render call, in its format."""
     assert main([command, "--golden", "--format", fmt]) == 0
     expected = capsys.readouterr()
-    from tangibility import reporting
-
     calls = []
 
     def recording(name):
