@@ -102,29 +102,40 @@ class CrossTab:
     classes: tuple[str, ...]
 
 
-def _tally(corpus: Corpus, attributes: attrgetter) -> Counter:
-    """Entity records by ``attributes``, counted in C with no per-record Python code."""
+def _term_counts(corpus: Corpus) -> Counter:
+    """Entity records by (role, tangibility), counted in C with no per-record Python
+    code: the one tally behind the term coverage, the role shares and the record count."""
     entities = chain.from_iterable(map(attrgetter("entities"), corpus.applications))
-    return Counter(map(attributes, entities))
+    return Counter(map(attrgetter("role", "tangibility"), entities))
+
+
+def _coverage(counts: Counter) -> dict[Term, int]:
+    return {term: counts[term.role, term.tangibility] for term in TERMS}
 
 
 def term_coverage(corpus: Corpus) -> dict[Term, int]:
     """Entity records per term.  All twelve terms are present, zero-filled."""
-    counts = _tally(corpus, attrgetter("role", "tangibility"))
-    return {term: counts[term.role, term.tangibility] for term in TERMS}
+    return _coverage(_term_counts(corpus))
 
 
 def _percent_half_up(count: int, total: int) -> int:
     return (200 * count + total) // (2 * total)
 
 
-def role_distribution(corpus: Corpus) -> dict[Role, RoleShare]:
-    """Records and integer percent (rounded half up) per role."""
-    total = corpus.record_count
+def _role_shares(counts: Counter) -> dict[Role, RoleShare]:
+    """Each role's records, its terms' counts summed, and their percent of all."""
+    total = counts.total()
     if total == 0:
         raise EmptyCorpusError("corpus has no entity records")
-    counts = _tally(corpus, attrgetter("role"))
-    return {role: RoleShare(counts[role], _percent_half_up(counts[role], total)) for role in Role}
+    roles = dict.fromkeys(Role, 0)
+    for (role, _), count in counts.items():
+        roles[role] += count
+    return {role: RoleShare(n, _percent_half_up(n, total)) for role, n in roles.items()}
+
+
+def role_distribution(corpus: Corpus) -> dict[Role, RoleShare]:
+    """Records and integer percent (rounded half up) per role."""
+    return _role_shares(_term_counts(corpus))
 
 
 def class_distribution(corpus: Corpus) -> dict[str, int]:
@@ -138,31 +149,52 @@ def _class_counts(labels: Iterable[str]) -> dict[str, int]:
     return {label: counts[label] for label in CLASS_LABELS}
 
 
+def _clustered(corpus: Corpus, binary: bool) -> tuple[int, list[Cluster]]:
+    """The distinct count and the clusters of one kind, from one grouping in id order.
+    Binary hallmarks are equal exactly when their masks are; each group is keyed by
+    its first member's hallmark, binarized only for a cluster."""
+    keyed: dict[Hallmark | int, tuple[Hallmark, list[int]]] = {}
+    for app, mark in corpus._by_id:
+        keyed.setdefault(mark.mask if binary else mark, (mark, []))[1].append(app.id)
+    clusters = [
+        Cluster(binarize(mark) if binary else mark, tuple(ids))
+        for mark, ids in keyed.values()
+        if len(ids) > 1
+    ]
+    return len(keyed), clusters
+
+
 def cluster_by_hallmark(corpus: Corpus) -> list[Cluster]:
     """Groups of applications with identical hallmarks (multi-member only), filled
     in id order: so ordered by smallest member id, members ascending."""
-    keyed: dict[Hallmark, list[int]] = {}
-    for app, mark in corpus._by_id:
-        keyed.setdefault(mark, []).append(app.id)
-    return [Cluster(mark, tuple(ids)) for mark, ids in keyed.items() if len(ids) > 1]
+    return _clustered(corpus, False)[1]
 
 
 def cluster_by_binary_hallmark(corpus: Corpus) -> list[Cluster]:
     """Like cluster_by_hallmark but on binarized vectors, in the same order."""
-    # Binary hallmarks are equal exactly when their masks are; each group is
-    # keyed by its first member's hallmark, binarized only for a cluster.
-    keyed: dict[int, tuple[Hallmark, list[int]]] = {}
-    for app, mark in corpus._by_id:
-        keyed.setdefault(mark.mask, (mark, []))[1].append(app.id)
-    return [Cluster(binarize(mark), tuple(ids)) for mark, ids in keyed.values() if len(ids) > 1]
+    return _clustered(corpus, True)[1]
 
 
 def distinct_hallmark_count(corpus: Corpus) -> int:
-    return len(set(corpus.hallmarks))
+    return _clustered(corpus, False)[0]
 
 
 def distinct_binary_hallmark_count(corpus: Corpus) -> int:
-    return len({mark.mask for mark in corpus.hallmarks})
+    return _clustered(corpus, True)[0]
+
+
+def _checked_metric(corpus: Corpus, metric: Metric | str) -> Metric:
+    """``metric`` as a Metric, refused as distance_matrix says: the one home of L1's
+    refusal of a "many", which names the first application holding one, in id order."""
+    metric = Metric(metric)
+    if metric is Metric.L1:
+        for app, mark in corpus._by_id:
+            if mark.has_many:
+                raise SymbolicCountError(
+                    f"symbolic count 'many' in application {app.id}; "
+                    "L1 distance is undefined"
+                )
+    return metric
 
 
 def distance_matrix(corpus: Corpus, metric: Metric | str) -> DistanceMatrix:
@@ -172,15 +204,9 @@ def distance_matrix(corpus: Corpus, metric: Metric | str) -> DistanceMatrix:
     L1 metric needs exact components, so a corpus containing a "many" raises
     SymbolicCountError naming the offending application.
     """
-    metric = Metric(metric)  # a member as is, its value as the member
+    metric = _checked_metric(corpus, metric)
     pairs = corpus._by_id
     if metric is Metric.L1:
-        for app, mark in pairs:
-            if mark.has_many:
-                raise SymbolicCountError(
-                    f"symbolic count 'many' in application {app.id}; "
-                    "L1 distance is undefined"
-                )
         keys = [mark._values for _, mark in pairs]
     else:
         keys = [(mark.mask & 0xFF, mark.mask >> 8) for _, mark in pairs]

@@ -186,7 +186,10 @@ _COMMANDS = {
                 "help": "distance metric (default: hamming)",
             },
         },
-        _corpus_command(partial(_report, "analytics_report")),
+        # DOT prints the cross-tab alone, so it builds no other section.
+        _corpus_command(
+            lambda c, a: _report("crosstab_report" if a.format == "dot" else "analytics_report", c, a)
+        ),
     ),
     "cluster": (
         "applications sharing a hallmark",

@@ -1,8 +1,9 @@
 """Reports of classification and analytics results, and their renderers.
 
 Each report holds its data and builds one format on request: text lines, CSV
-tables or a JSON payload; DOT graphs exist for cross-tabs only.  Output is
-deterministic (rows in id order, "\\n" newlines); hallmark components print
+tables or a JSON payload; DOT graphs exist for cross-tabs only, which
+``crosstab_report`` builds alone.  Output is deterministic (rows in id
+order, "\\n" newlines); hallmark components print
 as "N" in text and as "many" in CSV and JSON, but a cluster's key, one CSV
 cell, prints in its text form.  Only the renderers print a missing genre or
 subgenre, as "(none)".  Each distinct distance-matrix row is formatted once,
@@ -25,19 +26,19 @@ from typing import Any, Iterable, Iterator
 
 from .analysis import (
     CLASS_LABELS,
+    _checked_metric,
     _class_counts,
+    _clustered,
+    _coverage,
+    _role_shares,
+    _term_counts,
     Cluster,
     CrossTab,
     DistanceMatrix,
     Metric,
     RoleShare,
-    cluster_by_binary_hallmark,
-    cluster_by_hallmark,
     cross_tab,
     distance_matrix,
-    distinct_binary_hallmark_count,
-    distinct_hallmark_count,
-    role_distribution,
     term_coverage,
     EmptyCorpusError,
 )
@@ -58,6 +59,7 @@ __all__ = [
     "coverage_report",
     "clusters_report",
     "analytics_report",
+    "crosstab_report",
     "render",
     "render_text",
     "render_csv",
@@ -403,11 +405,10 @@ def coverage_report(corpus: Corpus) -> Coverage:
 
 
 def clusters_report(corpus: Corpus, binary: bool = False) -> Clusters:
-    if binary:
-        distinct, clusters = distinct_binary_hallmark_count, cluster_by_binary_hallmark
-    else:
-        distinct, clusters = distinct_hallmark_count, cluster_by_hallmark
-    return Clusters(binary, distinct(corpus), tuple(clusters(corpus)))
+    if not isinstance(binary, bool):
+        raise TypeError(f"binary must be a bool, got {binary!r}")
+    distinct, clusters = _clustered(corpus, binary)
+    return Clusters(binary, distinct, tuple(clusters))
 
 
 def analytics_report(
@@ -415,18 +416,20 @@ def analytics_report(
 ) -> Analytics:
     # Every section reads the hallmarks, and most the id order, so both are
     # computed outside any one section's time.  The matrix comes first: L1
-    # refuses a "many" before any other section is built.
+    # refuses a "many" before any other section is built.  One tally gives the
+    # coverage, the role shares and the record count.
     corpus._by_id
     matrix = distance_matrix(corpus, metric)
+    counts = _term_counts(corpus)
     try:
-        roles: dict[Role, RoleShare] | None = role_distribution(corpus)
+        roles: dict[Role, RoleShare] | None = _role_shares(counts)
     except EmptyCorpusError:
         roles = None
     crosstab = cross_tab(corpus, key)  # its class labels give the class distribution
     return Analytics(
         application_count=len(corpus.applications),
-        record_count=corpus.record_count,
-        coverage=coverage_report(corpus),
+        record_count=counts.total(),
+        coverage=Coverage(tuple(_coverage(counts).items())),
         roles=roles,
         classes=_class_counts(crosstab.classes),
         clusters=clusters_report(corpus),
@@ -434,6 +437,16 @@ def analytics_report(
         crosstab=crosstab,
         matrix=matrix,
     )
+
+
+def crosstab_report(
+    corpus: Corpus, key: str = "genre", metric: Metric | str = Metric.HAMMING
+) -> CrossTab:
+    """The cross-tab alone, all that DOT prints, after the check analytics_report
+    makes of ``metric``: L1 refuses a "many" the same way, before the cross-tab."""
+    corpus._by_id  # as in analytics_report, outside the cross-tab's time
+    _checked_metric(corpus, metric)
+    return cross_tab(corpus, key)
 
 
 # --- formats ----------------------------------------------------------
@@ -483,8 +496,8 @@ def _class_node(label: str) -> str:
 def render_dot(report: Any) -> str:
     """Genre -> subgenre -> application -> class membership graph.
 
-    Only cross-tabs have the hierarchy this graph needs; other reports
-    raise TypeError.
+    Only cross-tabs have the hierarchy this graph needs: a CrossTab, or an
+    Analytics' own.  Other reports raise TypeError.
     """
     if isinstance(report, Analytics):
         report = report.crosstab

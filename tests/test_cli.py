@@ -536,13 +536,15 @@ def test_parsed_values_match_the_reference(argv, capsys):
     assert built == _parsed(_reference_parser(), argv.split(), capsys)
 
 
-# A report command's reporting builder, which bench/tracing.py wraps as one span.
+# A report command's reporting builder, which bench/tracing.py wraps as one span, and
+# the formats that build another: DOT prints the cross-tab alone and builds only that.
 BUILDERS = {
     "classify": "class_table",
     "hallmark": "hallmark_table",
     "analyze": "analytics_report",
     "cluster": "clusters_report",
 }
+FORMAT_BUILDERS = {("analyze", "dot"): "crosstab_report"}
 
 
 @pytest.mark.parametrize("command, fmt", [(cmd, fmt) for cmd in BUILDERS for fmt in FORMATS[cmd]])
@@ -562,11 +564,12 @@ def test_report_functions_are_looked_up_when_a_command_runs(command, fmt, monkey
 
         return wrapper
 
-    for name in (BUILDERS[command], "render"):
+    builder = FORMAT_BUILDERS.get((command, fmt), BUILDERS[command])
+    for name in (builder, "render"):
         monkeypatch.setattr(reporting, name, recording(name))
     assert main([command, "--golden", "--format", fmt]) == 0
     assert capsys.readouterr() == expected
-    assert [name for name, _ in calls] == [BUILDERS[command], "render"]
+    assert [name for name, _ in calls] == [builder, "render"]
     assert calls[-1][1] == fmt
 
 

@@ -10,6 +10,7 @@ import random
 import re
 import sys
 from operator import attrgetter
+from pathlib import Path
 from typing import Iterator
 
 import pytest
@@ -22,6 +23,7 @@ from tangibility import (
     Corpus,
     Count,
     Entity,
+    Hallmark,
     Metric,
     SymbolicCountError,
     all_terms,
@@ -35,7 +37,8 @@ from tangibility import (
     parse_term,
     serialize_corpus,
 )
-from tangibility import reporting
+from tangibility import analysis, reporting
+from tangibility.cli import main
 from tangibility.reporting import (
     Clusters,
     Coverage,
@@ -43,6 +46,7 @@ from tangibility.reporting import (
     class_table,
     clusters_report,
     coverage_report,
+    crosstab_report,
     hallmark_table,
     render,
     render_csv,
@@ -158,7 +162,8 @@ def test_analytics_report_classifies_each_hallmark_once(monkeypatch):
 
 def test_analytics_report_hashes_no_count(monkeypatch):
     """Hallmarks hash from their values, read once when built: clusters and
-    distinct counts never hash a Count."""
+    distinct counts never hash a Count.  One grouping per cluster kind gives
+    both, so each application's hallmark is hashed once per report."""
     calls = _spy_compute_hallmark(monkeypatch)
     hashed = []
     count_hash = Count.__hash__
@@ -167,7 +172,15 @@ def test_analytics_report_hashes_no_count(monkeypatch):
         hashed.append(count)
         return count_hash(count)
 
+    marks = []
+    mark_hash = Hallmark.__hash__
+
+    def mark_spy(mark):
+        marks.append(id(mark))
+        return mark_hash(mark)
+
     monkeypatch.setattr(Count, "__hash__", spy)
+    monkeypatch.setattr(Hallmark, "__hash__", mark_spy)
     hash(Count(3))
     assert len(hashed) == 1  # the spy sees a Count hashed
     hashed.clear()
@@ -175,28 +188,68 @@ def test_analytics_report_hashes_no_count(monkeypatch):
         rng = random.Random(f"hash {metric.value}")
         corpus = random_corpus(rng, 200, min_apps=200, allow_many=allow_many)
         calls.clear()
+        marks.clear()
         analytics_report(corpus, metric=metric)
         assert sorted(calls) == sorted(app.id for app in corpus.applications)
+        assert sorted(marks) == sorted(map(id, corpus.hallmarks))
     assert hashed == []
 
 
-def test_l1_refuses_many_before_building_other_sections(monkeypatch):
-    def built(*args, **kwargs):
-        raise AssertionError("a section was built before the refusal")
+def _raising(monkeypatch, modules, names) -> None:
+    """Each of ``names`` that a module of ``modules`` binds raises when called."""
 
-    for name in (
+    def built(*args, **kwargs):
+        raise AssertionError("a section was built that this report does not need")
+
+    for module in modules:
+        for name in names:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, built)
+
+
+def test_l1_refuses_many_before_building_other_sections(monkeypatch, capsys):
+    sections = [
         "term_coverage",
-        "role_distribution",
+        "_term_counts",
+        "_coverage",
+        "_role_shares",
         "_class_counts",
-        "cluster_by_hallmark",
-        "cluster_by_binary_hallmark",
-        "distinct_hallmark_count",
-        "distinct_binary_hallmark_count",
+        "_clustered",
         "cross_tab",
-    ):
-        monkeypatch.setattr(reporting, name, built)
+    ]
+    for name in sections:
+        assert hasattr(reporting, name), name  # each is a name reporting builds with
+    _raising(monkeypatch, [reporting], sections)
     with pytest.raises(SymbolicCountError, match="application 9"):
         analytics_report(load_golden(), metric=Metric.L1)
+    # DOT builds the cross-tab alone, after the same refusal, and no matrix.
+    _raising(monkeypatch, [reporting], ["distance_matrix"])
+    with pytest.raises(SymbolicCountError, match="application 9"):
+        crosstab_report(load_golden(), metric=Metric.L1)
+    assert main(["analyze", "--golden", "--metric", "l1", "--format", "dot"]) == 1
+    refusal = "<golden>: error: symbolic count 'many' in application 9; L1 distance is undefined\n"
+    assert capsys.readouterr() == ("", refusal)
+
+
+def test_dot_builds_only_the_cross_tab(monkeypatch, capsys):
+    _raising(
+        monkeypatch,
+        [analysis, reporting],
+        [
+            "distance_matrix",
+            "_clustered",
+            "cluster_by_hallmark",
+            "cluster_by_binary_hallmark",
+            "distinct_hallmark_count",
+            "distinct_binary_hallmark_count",
+            "term_coverage",
+            "_term_counts",
+            "role_distribution",
+        ],
+    )
+    assert main(["analyze", "--golden", "--format", "dot"]) == 0
+    snapshot = Path(__file__).parent / "snapshots" / "golden" / "analyze-dot-genre-hamming.out"
+    assert capsys.readouterr() == (snapshot.read_text(encoding="utf-8"), "")
 
 
 @pytest.mark.parametrize("fmt", ["text", "csv", "json", "dot"])
@@ -309,6 +362,12 @@ class TestText:
     def test_clusters_none(self):
         text = render_text(clusters_report(Corpus()))
         assert text == "distinct hallmarks: 0\nclusters:\n  none\n"
+
+    @pytest.mark.parametrize("binary", ["no", 1])
+    def test_clusters_refuse_a_binary_that_is_not_a_bool(self, binary):
+        # The report would print the value back ('"binary":"no"', '"binary":1').
+        with pytest.raises(TypeError, match="binary must be a bool"):
+            clusters_report(load_golden(), binary=binary)
 
     def test_analytics_sections(self):
         text = render_text(analytics_report(load_golden()))
